@@ -27,6 +27,7 @@ from .estimators import (
     misadj,
     mk,
     uis,
+    uis_components,
 )
 from .experiments import (
     ExperimentConfig,
@@ -72,7 +73,7 @@ __all__ = [
     "Spectrum", "eigen_sym", "is_pd", "logdet_pd", "positive_part", "symmetrize",
     "NotPositiveDefiniteError",
     "autocov", "sym_autocov", "pair_sum", "partial_sum", "LagPairSequence",
-    "uis", "mis", "misadj", "mk", "MvEstimate", "UvEstimate",
+    "uis", "uis_components", "mis", "misadj", "mk", "MvEstimate", "UvEstimate",
     "NoPositiveDefinitePartialSum",
     "chisq_quantile", "normal_quantile", "sample_cov", "ess",
     "min_univariate_ess", "univariate_ess_components",

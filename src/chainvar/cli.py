@@ -17,32 +17,22 @@ import sys
 
 import numpy as np
 
-from .chain import load_chain, save_chain
-from .diagnostics import (
-    cube_region,
-    ellipsoid_region,
-    ess,
-    min_univariate_ess,
-    sample_cov,
+from .autocov import LagPairSequence
+from .chain import FORMATS, load_chain, save_chain
+from .diagnostics import cube_region, ellipsoid_region, ess, min_univariate_ess
+from .estimators import (
+    METHODS,
+    MULTIVARIATE,
+    NoPositiveDefinitePartialSum,
+    uis,
+    uis_components,
 )
-from .estimators import NoPositiveDefinitePartialSum, misadj, mis, mk, uis
-from .experiments import (
-    ExperimentConfig,
-    ar1_params_from_dict,
-    emit_tables,
-    run_replications,
-)
-from .samplers import (
-    RandomEffectsHyper,
-    ar1_simulate,
-    gibbs_random_effects,
-    load_logit_data,
-    rwm_logistic,
-    simulate_dataset,
-)
+from .experiments import ExperimentConfig, emit_tables, run_replications
+from .samplers import MODELS, build
 from .symmat import NotPositiveDefiniteError, logdet_pd
 
-_ESTIMATORS = {"mk": mk, "mis": mis, "misadj": misadj}
+# parameters `simulate` uses when no --params file is given
+_DEFAULT_PARAMS = {"ar1": {"kind": "hadamard", "p": 12}}
 
 
 def _load_params(path: str | None) -> dict:
@@ -63,23 +53,11 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    params = _load_params(args.params)
-    if args.model == "ar1":
-        if not params:
-            params = {"kind": "hadamard", "p": 12}
-        chain = ar1_simulate(ar1_params_from_dict(params), args.n, args.seed)
-    elif args.model == "logistic":
-        data = load_logit_data(params.get("data_path"))
-        run = rwm_logistic(data, float(params.get("step_sd", 0.3)), args.n, args.seed)
-        print(f"acceptance rate: {run.acceptance_rate:.4f}", file=sys.stderr)
-        chain = run.chain
-    else:
-        hyper = RandomEffectsHyper(**params.get("hyper", {}))
-        if "y" in params:
-            y = np.asarray(params["y"], dtype=np.float64)
-        else:
-            y = simulate_dataset(int(params.get("K", 2)), int(params.get("data_seed", 0)))
-        chain = gibbs_random_effects(y, hyper, args.n, args.seed)
+    params = _load_params(args.params) or _DEFAULT_PARAMS.get(args.model, {})
+    simulate, _ = build(args.model, params)
+    chain, sampler_stats = simulate(args.n, args.seed)
+    for name, value in sampler_stats.items():
+        print(f"{name}: {value:.4f}", file=sys.stderr)
     save_chain(chain, args.out, args.format)
     return 0
 
@@ -96,7 +74,7 @@ def _estimate_payload(chain, method: str) -> dict:
             "logdet": float(np.log(est.sigma2)) if est.sigma2 > 0.0 else None,
             "pd": bool(est.sigma2 > 0.0), "degenerate": est.degenerate,
         }
-    est = _ESTIMATORS[method](chain)
+    est = MULTIVARIATE[method](chain)
     return {
         "method": est.method, "n": n, "p": p,
         "sigma": [float(v) for v in est.sigma.ravel()],
@@ -119,8 +97,9 @@ def _cmd_ess(args: argparse.Namespace) -> int:
         payload = {"method": "uis", "n": chain.n, "p": chain.p,
                    "ess": min_univariate_ess(chain)}
     else:
-        est = _ESTIMATORS[args.method](chain)
-        lam = sample_cov(chain)
+        pairs = LagPairSequence(chain)
+        est = MULTIVARIATE[args.method](pairs)
+        lam = pairs.gamma0
         payload = {
             "method": args.method, "n": chain.n, "p": chain.p,
             "ess": ess(chain.n, lam, est.sigma),
@@ -136,7 +115,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     if args.kind == "ellipsoid":
         if args.method == "uis":
             raise ValueError("ellipsoid regions need a multivariate method")
-        est = _ESTIMATORS[args.method](chain)
+        est = MULTIVARIATE[args.method](chain)
         region = ellipsoid_region(chain.mean, est.sigma, chain.n, alpha)
         shape = {"cutoff": region.cutoff,
                  "sigma": [float(v) for v in region.sigma.ravel()]}
@@ -144,8 +123,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
         if args.method != "uis":
             raise ValueError("cube regions are built from the uis method")
         sd = np.empty(chain.p)
-        for j in range(chain.p):
-            est = uis(chain.column(j))
+        for j, est in enumerate(uis_components(chain)):
             if est.degenerate or not est.sigma2 > 0.0:
                 raise ValueError(f"degenerate univariate estimate in component {j}")
             sd[j] = est.sigma2 ** 0.5
@@ -181,35 +159,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a seeded chain")
-    sim.add_argument("--model", required=True, choices=("ar1", "logistic", "ranef"))
+    sim.add_argument("--model", required=True, choices=MODELS)
     sim.add_argument("--n", required=True, type=int)
     sim.add_argument("--seed", required=True, type=int)
     sim.add_argument("--out", required=True)
     sim.add_argument("--params", help="JSON file of model parameters")
-    sim.add_argument("--format", default="bin", choices=("csv", "bin"))
+    sim.add_argument("--format", default="bin", choices=FORMATS)
     sim.set_defaults(func=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="long-run covariance estimate as JSON")
-    est.add_argument("--method", required=True, choices=("uis", "mk", "mis", "misadj"))
+    est.add_argument("--method", required=True, choices=METHODS)
     est.add_argument("--input", required=True)
     est.add_argument("--output")
-    est.add_argument("--format", default="bin", choices=("csv", "bin"))
+    est.add_argument("--format", default="bin", choices=FORMATS)
     est.set_defaults(func=_cmd_estimate)
 
     essp = sub.add_parser("ess", help="effective sample size")
     essp.add_argument("--input", required=True)
-    essp.add_argument("--method", default="mis", choices=("uis", "mk", "mis", "misadj"))
+    essp.add_argument("--method", default="mis", choices=METHODS)
     essp.add_argument("--output")
-    essp.add_argument("--format", default="bin", choices=("csv", "bin"))
+    essp.add_argument("--format", default="bin", choices=FORMATS)
     essp.set_defaults(func=_cmd_ess)
 
     reg = sub.add_parser("region", help="confidence region for the mean vector")
     reg.add_argument("--input", required=True)
-    reg.add_argument("--method", default="mis", choices=("uis", "mk", "mis", "misadj"))
+    reg.add_argument("--method", default="mis", choices=METHODS)
     reg.add_argument("--level", type=float, default=0.9)
     reg.add_argument("--kind", default="ellipsoid", choices=("ellipsoid", "cube", "bonf"))
     reg.add_argument("--output")
-    reg.add_argument("--format", default="bin", choices=("csv", "bin"))
+    reg.add_argument("--format", default="bin", choices=FORMATS)
     reg.set_defaults(func=_cmd_region)
 
     exp = sub.add_parser("experiment", help="replication harness")

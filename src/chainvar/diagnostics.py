@@ -11,7 +11,7 @@ from scipy import stats
 
 from .autocov import autocov
 from .chain import Chain
-from .estimators import uis
+from .estimators import UvEstimate, uis_components
 from .symmat import NotPositiveDefiniteError, is_pd, logdet_pd
 
 
@@ -53,23 +53,24 @@ def ess(n: int, lam: np.ndarray, sigma: np.ndarray) -> float:
     return float(n * math.exp((logdet_pd(lam) - logdet_pd(sigma)) / p))
 
 
+def _univariate_ess(n: int, lam: np.ndarray, estimates: list[UvEstimate]) -> list[float]:
+    """``n * (lam_jj / sigma2_j)`` per component; NaN where the estimate is unusable."""
+    g0 = np.diag(lam)
+    return [float(n * (g0[j] / est.sigma2))
+            if not est.degenerate and est.sigma2 > 0.0 else float("nan")
+            for j, est in enumerate(estimates)]
+
+
 def univariate_ess_components(chain: Chain) -> list[float]:
     """Component-wise effective sample sizes from univariate truncation.
 
-    Component i gets ``n * gamma0_ii / sigma2_i`` with ``sigma2_i`` the
-    univariate initial-sequence variance of that coordinate.  Components
-    whose estimate is degenerate or non-positive come back as NaN.
+    Component i gets ``n * gamma0_ii / sigma2_i`` with ``gamma0`` the
+    sample covariance and ``sigma2_i`` the univariate initial-sequence
+    variance of that coordinate.  Components whose estimate is degenerate
+    or non-positive come back as NaN.
     """
-    out = []
-    for j in range(chain.p):
-        col = chain.column(j)
-        est = uis(col)
-        if est.degenerate or not est.sigma2 > 0.0:
-            out.append(float("nan"))
-            continue
-        g0 = float(autocov(col, 0)[0, 0])
-        out.append(float(chain.n * np.float64(g0) / est.sigma2))
-    return out
+    return _univariate_ess(chain.n, sample_cov(chain), uis_components(chain))
+
 
 def min_univariate_ess(chain: Chain) -> float:
     """Minimum of the component-wise univariate effective sample sizes.

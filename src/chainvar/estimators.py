@@ -14,6 +14,8 @@ CLT for the vector of sample means:
                 and never smaller (in determinant) than ``mis``.
 * ``mk``     -- Kosorok-style truncation at the last pair sum whose
                 smallest eigenvalue is still positive.
+
+``uis_components`` runs ``uis`` on each coordinate of a multivariate chain.
 """
 
 from __future__ import annotations
@@ -147,23 +149,19 @@ def misadj(chain: ChainOrPairs) -> MvEstimate:
     return MvEstimate("misadj", sigma, s_n, t_n, logabs, pd_from_eigenvalues(w))
 
 
-def mk(chain: ChainOrPairs, start_index: int = 0) -> MvEstimate:
+def mk(chain: ChainOrPairs) -> MvEstimate:
     """Smallest-eigenvalue truncation estimate.
 
     Truncates at the largest m such that every pair sum with index in
-    {start_index, ..., m} has a strictly positive smallest eigenvalue.
-    ``start_index=0`` also vets the first pair (matching the univariate
-    rule); ``start_index=1`` reproduces the variant that lets it pass
-    unexamined.  When the first pair already fails under
-    ``start_index=0``, the result is a degenerate fallback to the lag-0
+    {0, ..., m} has a strictly positive smallest eigenvalue; vetting the
+    first pair too matches the univariate rule.  When the first pair
+    already fails, the result is a degenerate fallback to the lag-0
     autocovariance with ``t_n == -1``.
     """
-    if start_index not in (0, 1):
-        raise ValueError(f"start_index must be 0 or 1, got {start_index}")
     pairs = _as_pairs(chain)
     _require_pairs_available(pairs, "mk")
-    t_n = start_index - 1
-    for i in range(start_index, pairs.max_index + 1):
+    t_n = -1
+    for i in range(pairs.max_index + 1):
         if not eigenvalues_sym(pairs.pair(i))[0] > 0.0:
             break
         t_n = i
@@ -198,3 +196,17 @@ def uis(chain: ChainOrPairs) -> UvEstimate:
             break
         t_n = i
     return UvEstimate(float(pairs.partial_sum(t_n)[0, 0]), t_n)
+
+
+def uis_components(chain: Chain) -> list[UvEstimate]:
+    """:func:`uis` applied to each coordinate of a chain in turn.
+
+    Each coordinate gets its own scan and stops at its own ``t_n``; only
+    lag products of that one column are computed, never p-by-p lags.
+    """
+    return [uis(chain.column(j)) for j in range(chain.p)]
+
+
+# Estimators of the full p-by-p long-run covariance, by method name.
+MULTIVARIATE = {"mk": mk, "mis": mis, "misadj": misadj}
+METHODS = ("uis", *MULTIVARIATE)

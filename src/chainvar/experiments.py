@@ -13,29 +13,13 @@ import numpy as np
 
 from .autocov import LagPairSequence
 from .chain import Chain
-from .diagnostics import cube_region, ellipsoid_region, ess
-from .estimators import NoPositiveDefinitePartialSum, misadj, mis, mk, uis
-from .samplers import (
-    Ar1Params,
-    RandomEffectsHyper,
-    ar1_simulate,
-    ar1_truth,
-    gibbs_random_effects,
-    load_logit_data,
-    replication_stream,
-    rwm_logistic,
-    simulate_dataset,
-    truth_stream,
-)
+from .diagnostics import _univariate_ess, cube_region, ellipsoid_region, ess
+from .estimators import METHODS, MULTIVARIATE, NoPositiveDefinitePartialSum, uis_components
+from .samplers import MODELS, build, replication_stream, truth_stream
 from .symmat import NotPositiveDefiniteError
 
-MODELS = ("ar1", "logistic", "ranef")
-METHODS = ("uis", "mk", "mis", "misadj")
 REGION_KINDS = ("ellipsoid", "cube", "bonferroni")
 TRUTH_KINDS = ("analytic", "long-run", "external")
-
-_MULTIVARIATE = ("mk", "mis", "misadj")
-_ESTIMATORS = {"mk": mk, "mis": mis, "misadj": misadj}
 
 CSV_COLUMNS = ("method", "ess_mean", "ess_se", "volroot_mean", "volroot_se",
                "coverage", "coverage_se", "fail_count")
@@ -55,7 +39,7 @@ class ExperimentConfig:
     n: int = 10_000
     replications: int = 200
     level: float = 0.9
-    methods: tuple = ("uis", "mk", "mis", "misadj")
+    methods: tuple = METHODS
     regions: tuple = ("ellipsoid", "cube", "bonferroni")
     truth: dict = field(default_factory=lambda: {"kind": "analytic"})
     master_seed: int = 0
@@ -130,41 +114,6 @@ class ReplicationReport:
         raise KeyError(f"no table row for method {method!r}")
 
 
-def ar1_params_from_dict(mp: dict) -> Ar1Params:
-    kind = mp.get("kind", "explicit")
-    if kind == "hadamard":
-        return Ar1Params.hadamard_fixture(int(mp["p"]))
-    if kind == "scalar":
-        return Ar1Params.scalar(float(mp["a"]), float(mp.get("v", 1.0)),
-                                float(mp.get("theta", 1.0)))
-    if kind == "explicit":
-        return Ar1Params(np.asarray(mp["A"], dtype=np.float64),
-                         np.asarray(mp["V"], dtype=np.float64),
-                         np.asarray(mp["theta"], dtype=np.float64))
-    raise ValueError(f"unknown ar1 parameter kind {kind!r}")
-
-
-def _make_simulator(config: ExperimentConfig):
-    """Returns (simulate(n, seed) -> Chain, analytic truth vector or None)."""
-    mp = config.model_params
-    if config.model == "ar1":
-        params = ar1_params_from_dict(mp)
-        truth = ar1_truth(params)
-        return (lambda n, seed: ar1_simulate(params, n, seed)), truth.mu
-    if config.model == "logistic":
-        data = load_logit_data(mp.get("data_path"))
-        step_sd = float(mp.get("step_sd", 0.3))
-        return (lambda n, seed: rwm_logistic(data, step_sd, n, seed).chain), None
-    if config.model == "ranef":
-        hyper = RandomEffectsHyper(**mp.get("hyper", {}))
-        if "y" in mp:
-            y = np.asarray(mp["y"], dtype=np.float64)
-        else:
-            y = simulate_dataset(int(mp.get("K", 2)), int(mp.get("data_seed", 0)))
-        return (lambda n, seed: gibbs_random_effects(y, hyper, n, seed)), None
-    raise ValueError(f"unknown model {config.model!r}")
-
-
 def _resolve_truth(config: ExperimentConfig, simulate,
                    analytic: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     kind = config.truth["kind"]
@@ -175,10 +124,9 @@ def _resolve_truth(config: ExperimentConfig, simulate,
     if kind == "external":
         return np.asarray(config.truth["vector"], dtype=np.float64), None
     n_truth = int(config.truth.get("n_truth", 10_000_000))
-    chain = simulate(n_truth, truth_stream(config.master_seed))
+    chain, _ = simulate(n_truth, truth_stream(config.master_seed))
     se = np.empty(chain.p)
-    for j in range(chain.p):
-        est = uis(chain.column(j))
+    for j, est in enumerate(uis_components(chain)):
         var = est.sigma2 if not est.degenerate and est.sigma2 > 0.0 else float(
             chain.values[:, j].var())
         se[j] = math.sqrt(var / n_truth)
@@ -188,18 +136,18 @@ def _resolve_truth(config: ExperimentConfig, simulate,
 def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
                         index: int) -> dict:
     """Simulate one replication and evaluate every requested method on it."""
-    chain = simulate(config.n, replication_stream(config.master_seed, index))
+    chain, _ = simulate(config.n, replication_stream(config.master_seed, index))
     pairs = LagPairSequence(chain)
     lam = pairs.gamma0
     mu = chain.mean
     alpha = 1.0 - config.level
     out: dict = {"replication": index, "methods": {}}
     for method in config.methods:
-        if method not in _MULTIVARIATE:
+        if method not in MULTIVARIATE:
             continue
         entry: dict = {}
         try:
-            est = _ESTIMATORS[method](pairs)
+            est = MULTIVARIATE[method](pairs)
             if est.degenerate:
                 raise NotPositiveDefiniteError("degenerate estimate")
             entry.update(s_n=est.s_n, t_n=est.t_n, logdet=float(est.logdet),
@@ -219,18 +167,16 @@ def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
 
 def _univariate_entries(chain: Chain, pairs: LagPairSequence, truth: np.ndarray,
                         config: ExperimentConfig, alpha: float) -> dict:
-    sigma2 = np.empty(chain.p)
-    for j in range(chain.p):
-        est = uis(chain.column(j))
+    estimates = uis_components(chain)
+    for j, est in enumerate(estimates):
         if est.degenerate or not est.sigma2 > 0.0:
             failed = {"failed": f"degenerate univariate estimate in component {j}"}
             out = {"uis": dict(failed)}
             if "bonferroni" in config.regions:
                 out["uis_bonferroni"] = dict(failed)
             return out
-        sigma2[j] = est.sigma2
-    g0 = np.diag(pairs.gamma0)
-    ess_min = float(chain.n * np.min(g0 / sigma2))
+    sigma2 = np.array([est.sigma2 for est in estimates])
+    ess_min = min(_univariate_ess(chain.n, pairs.gamma0, estimates))
     logdet = float(np.log(sigma2).sum())
     base = {"ess": ess_min, "logdet": logdet}
     out = {}
@@ -250,7 +196,7 @@ def _univariate_entries(chain: Chain, pairs: LagPairSequence, truth: np.ndarray,
 
 def _worker(config_dict: dict, truth: list, index: int) -> dict:
     config = ExperimentConfig.from_dict(config_dict)
-    simulate, _ = _make_simulator(config)
+    simulate, _ = build(config.model, config.model_params)
     return _replication_record(config, simulate, np.asarray(truth), index)
 
 
@@ -313,7 +259,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    simulate, analytic = _make_simulator(config)
+    simulate, analytic = build(config.model, config.model_params)
     truth, truth_se = _resolve_truth(config, simulate, analytic)
     if workers == 1 or config.replications == 1:
         records = [

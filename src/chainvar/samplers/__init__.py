@@ -1,4 +1,7 @@
-"""Seeded samplers for the benchmark fixtures, plus AR(1) ground truth."""
+"""Seeded samplers for the benchmark fixtures, plus AR(1) ground truth.
+
+``build(model, params)`` is the one way to get a simulator by model name.
+"""
 
 from ._rng import SeedLike, as_generator, replication_stream, truth_stream
 from .ar1 import Ar1Params, Ar1Truth, ar1_simulate, ar1_truth
@@ -22,6 +25,7 @@ from .random_effects import (
     gibbs_random_effects,
     simulate_dataset,
 )
+from .registry import MODELS, build
 
 __all__ = [
     "SeedLike",
@@ -49,4 +53,6 @@ __all__ = [
     "coordinate_names",
     "gibbs_random_effects",
     "simulate_dataset",
+    "MODELS",
+    "build",
 ]

@@ -111,7 +111,6 @@ class Ar1Truth:
     Sigma: np.ndarray
     decays: np.ndarray
     _basis: np.ndarray = field(repr=False)
-    _lag_exponent: int = 1
 
     def _assemble(self, mode_values: np.ndarray) -> np.ndarray:
         b = self._basis
@@ -124,48 +123,42 @@ class Ar1Truth:
         """Lag-t autocovariance matrix of the stationary process."""
         if t < 0:
             raise ValueError(f"lag must be >= 0, got {t}")
-        return self._assemble(self.decays ** (self._lag_exponent * t) * self._mode_c())
+        return self._assemble(self.decays**t * self._mode_c())
 
     def pair_sum(self, i: int) -> np.ndarray:
         """Sum of the lag-(2i) and lag-(2i+1) autocovariances."""
-        e = self._lag_exponent
         d = self.decays
-        return self._assemble((d ** (2 * i * e) + d ** ((2 * i + 1) * e)) * self._mode_c())
+        return self._assemble((d ** (2 * i) + d ** (2 * i + 1)) * self._mode_c())
 
     def pair_sum_eigenvalues(self, i: int) -> np.ndarray:
         """Spectrum of ``pair_sum(i)`` when V = I (basis orthonormal)."""
-        e = self._lag_exponent
         d = self.decays
-        return np.sort((d ** (2 * i * e) + d ** ((2 * i + 1) * e)) * self._mode_c())
+        return np.sort((d ** (2 * i) + d ** (2 * i + 1)) * self._mode_c())
 
     def partial_sum(self, m: int) -> np.ndarray:
         """Truncated long-run covariance: -gamma(0) + 2 * (pair sums 0..m)."""
         if m < 0:
             raise ValueError(f"index must be >= 0, got {m}")
-        e = self._lag_exponent
         d = self.decays
-        geom = (1.0 - d ** (e * (2 * m + 2))) / (1.0 - d**e)
+        geom = (1.0 - d ** (2 * m + 2)) / (1.0 - d)
         return self._assemble((2.0 * geom - 1.0) * self._mode_c())
 
 
-def ar1_truth(params: Ar1Params, doubled_lag_decay: bool = False) -> Ar1Truth:
+def ar1_truth(params: Ar1Params) -> Ar1Truth:
     """Closed-form stationary moments for the given process.
 
-    With ``doubled_lag_decay`` the lag-t autocovariance is taken to decay
-    like A^{2t} instead of A^t.  That variant exists only for comparison
-    against an alternative published closed form; the default matches the
-    recursion ``X_{k+1} = A X_k + U`` and is validated against the
-    simulated long-run variance.
+    The lag-t autocovariance decays like A^t, as the recursion
+    ``X_{k+1} = A X_k + U`` implies; the long-run covariance is validated
+    against the simulated long-run variance.
     """
     d, basis, _ = _modes(params.A, params.V)
     eye_minus_a = np.eye(params.p) - params.A
     mu = np.linalg.solve(eye_minus_a, params.theta)
     mode_c = 1.0 / (1.0 - d**2)
-    exponent = 2 if doubled_lag_decay else 1
-    geom = 1.0 / (1.0 - d**exponent)
+    geom = 1.0 / (1.0 - d)
     c = symmetrize((basis * mode_c) @ basis.T)
     sigma = symmetrize((basis * ((2.0 * geom - 1.0) * mode_c)) @ basis.T)
-    return Ar1Truth(mu, c, sigma, d, basis, exponent)
+    return Ar1Truth(mu, c, sigma, d, basis)
 
 
 def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:

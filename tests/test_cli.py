@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from chainvar import Chain, load_chain, save_chain
+from chainvar import (
+    Chain,
+    ExperimentConfig,
+    LagPairSequence,
+    experiments,
+    load_chain,
+    run_replications,
+    save_chain,
+)
 from chainvar.cli import main
 
 
@@ -53,6 +61,37 @@ def test_simulate_logistic(tmp_path, capsys):
                    "--out", str(out)) == 0
     assert load_chain(out, "bin").p == 5
     assert "acceptance rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, params, p", [
+    ("ar1", {"kind": "hadamard", "p": 4}, 4),
+    ("logistic", {"step_sd": 0.2}, 5),
+    ("ranef", {"K": 2, "data_seed": 3}, 8),
+])
+def test_simulate_matches_harness_replication(model, params, p, tmp_path, monkeypatch):
+    # give replication r the integer seed master_seed + r, which `simulate
+    # --seed` can express, and record the chain each replication analyses
+    seen = []
+
+    class Recording(LagPairSequence):
+        def __init__(self, chain):
+            seen.append(chain.values.tobytes())
+            super().__init__(chain)
+
+    monkeypatch.setattr(experiments, "LagPairSequence", Recording)
+    monkeypatch.setattr(experiments, "replication_stream", lambda master, r: master + r)
+    config = ExperimentConfig(model=model, model_params=params, n=300, replications=2,
+                              methods=("mk",), regions=(), master_seed=11,
+                              truth={"kind": "external", "vector": [0.0] * p})
+    run_replications(config)
+    assert len(seen) == 2
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps(params))
+    for r, values in enumerate(seen):
+        out = tmp_path / f"rep{r}.bin"
+        assert run_cli("simulate", "--model", model, "--n", "300", "--seed", str(11 + r),
+                       "--out", str(out), "--params", str(params_file)) == 0
+        assert load_chain(out, "bin").values.tobytes() == values
 
 
 def test_estimate_json_payload(ar1_chain_file, tmp_path):

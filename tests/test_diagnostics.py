@@ -8,6 +8,7 @@ import pytest
 from chainvar import (
     Chain,
     Ar1Params,
+    ExperimentConfig,
     ar1_simulate,
     chisq_quantile,
     cube_region,
@@ -15,9 +16,11 @@ from chainvar import (
     ess,
     min_univariate_ess,
     normal_quantile,
+    run_replications,
     sample_cov,
     univariate_ess_components,
 )
+from chainvar.samplers import build, replication_stream
 from chainvar.symmat import NotPositiveDefiniteError
 
 
@@ -121,6 +124,18 @@ class TestMinUnivariateEss:
         assert abs(got - n / 3) <= 0.15 * (n / 3)
         components = univariate_ess_components(chain)
         assert components[1] == got
+
+    def test_components_match_harness_uis_ess_bit_for_bit(self):
+        # the harness reports n * min(gamma0_jj / sigma2_j) as its uis ESS;
+        # the analyst path must give the very same number for the same chain
+        params = {"kind": "hadamard", "p": 12}
+        config = ExperimentConfig(model="ar1", model_params=params, n=100_000,
+                                  replications=1, methods=("uis",), regions=(),
+                                  master_seed=1)
+        harness = run_replications(config).records[0]["methods"]["uis"]["ess"]
+        simulate, _ = build("ar1", params)
+        chain, _ = simulate(config.n, replication_stream(1, 0))
+        assert min(univariate_ess_components(chain)) == harness
 
     def test_degenerate_component_excluded_with_warning(self):
         rng = np.random.default_rng(32)

@@ -13,6 +13,7 @@ from chainvar import (
     misadj,
     mk,
     uis,
+    uis_components,
 )
 from chainvar.symmat import signed_logdet, signed_logdet_greater
 
@@ -150,6 +151,25 @@ class TestMisadj:
                 assert adj.logdet >= base.logdet
 
 
+class TestUisComponents:
+    def test_matches_per_column_uis_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        n = 400
+        chain = Chain(np.column_stack([
+            np.full(n, 2.5),
+            rng.standard_normal(n),
+            ar_like(rng, n, 1, coef=0.95).values[:, 0],
+            np.tile([1.0, -1.0], n // 2),
+        ]))
+        got = [(e.sigma2, e.t_n, e.degenerate) for e in uis_components(chain)]
+        want = [(e.sigma2, e.t_n, e.degenerate)
+                for e in (uis(chain.column(j)) for j in range(chain.p))]
+        assert got == want
+        # the constant column degenerates and the others stop at their own t_n
+        assert got[0][2] and got[0][1] == -1
+        assert len({t_n for _, t_n, _ in got[1:]}) == 3
+
+
 class TestMk:
     def test_constant_chain_is_degenerate(self):
         est = mk(Chain(np.ones((12, 2))))
@@ -166,14 +186,6 @@ class TestMk:
             assert k.t_n == u.t_n
             if not u.degenerate:
                 assert k.sigma[0, 0] == u.sigma2
-
-    def test_start_index_switch(self):
-        # with start_index=1 the first pair goes unexamined, so a constant
-        # chain truncates at 0 instead of degenerating
-        est = mk(Chain(np.ones((12, 2))), start_index=1)
-        assert est.t_n == 0 and not est.degenerate
-        with pytest.raises(ValueError):
-            mk(Chain(np.ones((12, 2))), start_index=2)
 
     def test_truncates_no_later_than_mis_on_average(self):
         params = Ar1Params.hadamard_fixture(4)

@@ -46,6 +46,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="analytic"):
             ExperimentConfig(model="logistic", truth={"kind": "analytic"})
 
+    def test_incomplete_ar1_params_name_the_missing_key(self):
+        cases = (({}, "'A'"), ({"kind": "hadamard"}, "'p'"), ({"kind": "scalar"}, "'a'"),
+                 ({"A": [[0.5]], "V": [[1.0]]}, "'theta'"))
+        for params, key in cases:
+            with pytest.raises(ValueError, match=key):
+                run_replications(scalar_config(model_params=params, replications=1))
+
     def test_dict_round_trip(self):
         cfg = scalar_config()
         again = ExperimentConfig.from_dict(cfg.to_dict())

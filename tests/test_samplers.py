@@ -118,12 +118,6 @@ class TestAr1Truth:
             )
         np.testing.assert_allclose(truth.partial_sum(60), truth.Sigma, atol=1e-12)
 
-    def test_doubled_lag_variant_disagrees_with_simulation(self):
-        # the alternative closed form decays twice as fast; the scalar value
-        # it produces (20/9) is far from the simulated long-run variance 4
-        alt = ar1_truth(Ar1Params.scalar(0.5), doubled_lag_decay=True)
-        np.testing.assert_allclose(alt.Sigma, [[20.0 / 9.0]], rtol=1e-12)
-
     def test_empirical_autocovariances_match(self):
         # entrywise agreement of simulated lag covariances with gamma(t),
         # within five (conservatively inflated) standard errors
