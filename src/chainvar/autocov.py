@@ -62,6 +62,10 @@ class LagPairSequence:
     and satisfies ``partial_sum(m) == partial_sum(m-1) + 2 * pair(m)``
     exactly, because each entry is produced by that very accumulation.
 
+    ``constant_columns`` lists, in ascending order, the columns whose
+    centered values all coincide.  Each is a null direction of every lag
+    matrix, so no truncated sum of such a chain is positive definite.
+
     All matrices returned are exactly symmetric.  Materialization is not
     thread-safe; confine one instance to one thread.
     """
@@ -74,6 +78,15 @@ class LagPairSequence:
         g0 = symmetrize(_cross_lag(self._centered, 0))
         g0.setflags(write=False)
         self._gamma0 = g0
+        # A constant column's centered value is the rounding error of its
+        # mean, within n * eps * |mean| (the sequential-summation bound;
+        # pairwise summation does better), so only columns with a variance
+        # that small need the exact zero-range test.
+        bound = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(chain.mean)
+        suspects = np.flatnonzero(np.diagonal(g0) <= bound * bound)
+        self.constant_columns = tuple(
+            int(j) for j in suspects if np.ptp(self._centered[:, j]) == 0.0
+        )
         self._pairs: list[np.ndarray] = []
         self._partials: list[np.ndarray] = []
 

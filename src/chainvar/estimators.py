@@ -39,7 +39,11 @@ ChainOrPairs = Union[Chain, LagPairSequence]
 
 
 class NoPositiveDefinitePartialSum(RuntimeError):
-    """No truncated covariance sum is positive definite; the run is too short."""
+    """No truncated covariance sum is positive definite.
+
+    Either the run is too short or the chain is degenerate, for instance
+    because one of its columns is constant.
+    """
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,14 @@ def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int, np.ndarray
 
     Returns (s_n, t_n, eigenvalues of the truncated sum at t_n).  The
     determinant run uses sign-aware comparisons so that a sum that loses
-    definiteness mid-run is still compared correctly.
+    definiteness mid-run is still compared correctly.  A chain with a
+    constant column fails before any pair is materialized.
     """
+    if pairs.constant_columns:
+        raise NoPositiveDefinitePartialSum(
+            f"column c{pairs.constant_columns[0] + 1} is constant, so no "
+            f"truncated covariance sum can be positive definite"
+        )
     s_n = None
     w = None
     for m in range(pairs.max_index + 1):

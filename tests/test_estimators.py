@@ -202,6 +202,46 @@ class TestMk:
         assert np.mean(ld_mk) <= np.mean(ld_mis)
 
 
+class TestConstantColumn:
+    def _chain_with_constant_column(self):
+        rng = np.random.default_rng(29)
+        x = ar_like(rng, 400, 4).values.copy()
+        x[:, 2] = 3.7
+        return Chain(x)
+
+    @pytest.mark.parametrize("method", [mis, misadj])
+    def test_fails_before_any_pair(self, method):
+        pairs = LagPairSequence(self._chain_with_constant_column())
+        assert pairs.constant_columns == (2,)
+        with pytest.raises(NoPositiveDefinitePartialSum, match=r"column c3 is constant"):
+            method(pairs)
+        assert len(pairs._pairs) == 0
+
+    @pytest.mark.parametrize("method", [mis, misadj])
+    def test_univariate_constant_chain(self, method):
+        # the mean of ten copies of 1e10 + 0.1 rounds, so the centered
+        # values are a nonzero constant; the scan used to accept the
+        # resulting rounding-error "variance" as positive definite
+        chain = Chain(np.full(10, 1e10 + 0.1))
+        assert chain.mean[0] != 1e10 + 0.1
+        pairs = LagPairSequence(chain)
+        with pytest.raises(NoPositiveDefinitePartialSum, match=r"column c1 is constant"):
+            method(pairs)
+        assert len(pairs._pairs) == 0
+
+    def test_near_constant_column_takes_the_scan(self):
+        # a column one ulp away from constant is small enough to be checked
+        # for zero range, which it does not have
+        x = self._chain_with_constant_column().values.copy()
+        x[:, 2] = 1e10
+        x[7, 2] = np.nextafter(1e10, np.inf)
+        pairs = LagPairSequence(Chain(x))
+        assert pairs.constant_columns == ()
+        with pytest.raises(NoPositiveDefinitePartialSum, match=r"too short"):
+            mis(pairs)
+        assert len(pairs._pairs) == pairs.max_index + 1
+
+
 class TestEquivariance:
     def test_permutation(self):
         rng = np.random.default_rng(26)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import solve_triangular
 
 from chainvar import (
     Ar1Params,
@@ -21,13 +22,16 @@ from chainvar import (
     simulate_dataset,
     uis,
 )
+from chainvar.samplers import random_effects
 from chainvar.samplers.ar1 import _modes
 from chainvar.samplers.logistic import generate_logit_data, log_prior
 from chainvar.samplers.random_effects import (
     RandomEffectsHyper,
     RandomEffectsState,
     coordinate_names,
+    draw_component_precisions,
     draw_locations,
+    draw_observation_precisions,
     draw_shrinkage_precision,
     location_precision,
 )
@@ -330,6 +334,82 @@ class TestGibbsConditionals:
             assert abs(draws[:, k].mean() - mean[k]) <= 4.0 * se
         emp_cov = np.cov(draws.T)
         assert np.abs(emp_cov - cov).max() <= 0.05 * np.abs(cov).max()
+
+
+def _dense_draw_locations(state, hyper, y, rng):
+    # reference location draw: dense Cholesky factor, solve for the mean,
+    # triangular solve for the noise, on the same K + 1 standard normals
+    P, b = location_precision(state, hyper, y)
+    lower = np.linalg.cholesky(P)
+    mean = np.linalg.solve(P, b)
+    z = rng.standard_normal(P.shape[0])
+    return mean + solve_triangular(lower.T, z, lower=False)
+
+
+def _random_state(rng, K):
+    return RandomEffectsState(
+        theta=rng.standard_normal(K),
+        mu=float(rng.standard_normal()),
+        lam_theta=float(rng.uniform(0.1, 10.0)),
+        lam=rng.uniform(0.1, 10.0, K),
+        gam=rng.uniform(0.1, 10.0, K),
+    )
+
+
+class TestArrowLocationDraw:
+    @pytest.mark.parametrize("K", [1, 2, 21, 60])
+    def test_matches_dense_reference(self, K):
+        hyper = RandomEffectsHyper()
+        rng = np.random.default_rng(80 + K)
+        for trial in range(50):
+            state = _random_state(rng, K)
+            y = 2.0 * rng.standard_normal(K)
+            got = draw_locations(state, hyper, y, np.random.default_rng(trial))
+            want = _dense_draw_locations(state, hyper, y, np.random.default_rng(trial))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_chain_matches_dense_path(self, monkeypatch):
+        # the whole sampler against the former per-iteration path: dense
+        # location draws and rng.gamma with an array of scales
+        y = simulate_dataset(21, seed=1)
+        got = gibbs_random_effects(y, n=2000, seed=81).values
+        monkeypatch.setattr(random_effects, "draw_locations", _dense_draw_locations)
+        monkeypatch.setattr(
+            random_effects, "draw_component_precisions",
+            lambda state, hyper, rng: rng.gamma(
+                hyper.a2 + 0.5,
+                1.0 / (hyper.b2 + 0.5 * state.lam_theta * (state.theta - state.mu) ** 2)),
+        )
+        monkeypatch.setattr(
+            random_effects, "draw_observation_precisions",
+            lambda state, hyper, y, rng: rng.gamma(
+                hyper.a3 + 0.5, 1.0 / (hyper.b3 + 0.5 * (y - state.theta) ** 2)),
+        )
+        want = gibbs_random_effects(y, n=2000, seed=81).values
+        # entries near zero carry the absolute rounding of their O(1) inputs
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+class TestGammaDraws:
+    @pytest.mark.parametrize("K", [1, 21])
+    def test_bit_identical_to_scaled_gamma(self, K):
+        hyper = RandomEffectsHyper()
+        state = _random_state(np.random.default_rng(82), K)
+        y = np.random.default_rng(83).standard_normal(K)
+        draws = (
+            (lambda rng: draw_component_precisions(state, hyper, rng),
+             hyper.a2 + 0.5,
+             hyper.b2 + 0.5 * state.lam_theta * (state.theta - state.mu) ** 2),
+            (lambda rng: draw_observation_precisions(state, hyper, y, rng),
+             hyper.a3 + 0.5,
+             hyper.b3 + 0.5 * (y - state.theta) ** 2),
+        )
+        for draw, shape, rates in draws:
+            a = np.random.default_rng(84)
+            b = np.random.default_rng(84)
+            for _ in range(20):
+                assert np.array_equal(draw(a), b.gamma(shape, 1.0 / rates))
+            assert a.random() == b.random()
 
 
 class TestGibbsSampler:
