@@ -1,5 +1,5 @@
-"""Empirical autocovariances of a chain: single lags, symmetrized lags,
-adjacent-pair sums, and truncated long-run covariance sums."""
+"""Empirical autocovariances of a chain: single lags, and the adjacent-pair
+sums and truncated long-run covariance sums of :class:`LagPairSequence`."""
 
 from __future__ import annotations
 
@@ -32,28 +32,6 @@ def autocov(chain: Chain, t: int) -> np.ndarray:
     return symmetrize(raw) if t == 0 else raw
 
 
-def sym_autocov(chain: Chain, t: int) -> np.ndarray:
-    """Symmetrized lag-t autocovariance, (autocov(t) + autocov(t).T) / 2."""
-    return symmetrize(autocov(chain, t))
-
-
-def max_pair_index(n: int) -> int:
-    """Largest valid adjacent-pair index, floor(n/2 - 1)."""
-    return n // 2 - 1
-
-
-def pair_sum(chain: Chain, i: int) -> np.ndarray:
-    """Sum of the i-th adjacent pair of symmetrized autocovariances (lags 2i, 2i+1)."""
-    if not 0 <= i <= max_pair_index(chain.n):
-        raise ValueError(f"pair index i={i} out of range [0, {max_pair_index(chain.n)}]")
-    return sym_autocov(chain, 2 * i) + sym_autocov(chain, 2 * i + 1)
-
-
-def partial_sum(chain: Chain, m: int) -> np.ndarray:
-    """Truncated long-run covariance sum: -gamma_0 plus twice the pair sums 0..m."""
-    return LagPairSequence(chain).partial_sum(m)
-
-
 class LagPairSequence:
     """Lazily materialized pair sums and their running totals for one chain.
 
@@ -73,7 +51,7 @@ class LagPairSequence:
     def __init__(self, chain: Chain) -> None:
         self.n = chain.n
         self.p = chain.p
-        self.max_index = max_pair_index(chain.n)
+        self.max_index = chain.n // 2 - 1  # largest pair index, floor(n/2 - 1)
         self._centered = _centered(chain)
         g0 = symmetrize(_cross_lag(self._centered, 0))
         g0.setflags(write=False)
@@ -101,6 +79,7 @@ class LagPairSequence:
         return symmetrize(_cross_lag(self._centered, t))
 
     def pair(self, i: int) -> np.ndarray:
+        """Pair sum i: symmetrized lag-(2i) plus lag-(2i+1), 0 <= i <= max_index."""
         if not 0 <= i <= self.max_index:
             raise ValueError(f"pair index i={i} out of range [0, {self.max_index}]")
         while len(self._pairs) <= i:
@@ -111,6 +90,7 @@ class LagPairSequence:
         return self._pairs[i]
 
     def partial_sum(self, m: int) -> np.ndarray:
+        """Truncated long-run covariance sum: -gamma0 plus twice pairs 0..m."""
         if not 0 <= m <= self.max_index:
             raise ValueError(f"index m={m} out of range [0, {self.max_index}]")
         while len(self._partials) <= m:

@@ -12,7 +12,7 @@ from scipy import stats
 from .autocov import autocov
 from .chain import Chain
 from .estimators import UvEstimate, uis_components
-from .symmat import NotPositiveDefiniteError, is_pd, logdet_pd
+from .symmat import NotPositiveDefiniteError, eigenvalues_sym, logdet_pd, pd_from_eigenvalues
 
 
 def _check_prob(prob: float) -> float:
@@ -150,14 +150,15 @@ def ellipsoid_region(mu_n, sigma, n: int, alpha: float) -> Region:
     sigma = np.asarray(sigma, dtype=np.float64)
     alpha = _check_prob(alpha)
     p = mu_n.shape[0]
-    if not is_pd(sigma):
+    w = eigenvalues_sym(sigma)
+    if not pd_from_eigenvalues(w):
         raise NotPositiveDefiniteError("ellipsoid region needs a positive definite sigma")
     cutoff = chisq_quantile(1.0 - alpha, p)
     log_volume = (
         0.5 * p * math.log(math.pi)
         - math.lgamma(0.5 * p + 1.0)
         + 0.5 * p * math.log(cutoff / n)
-        + 0.5 * logdet_pd(sigma)
+        + 0.5 * float(np.log(w).sum())
     )
     return Region("ellipsoid", mu_n, 1.0 - alpha, n, log_volume,
                   sigma=sigma, cutoff=cutoff)

@@ -12,8 +12,9 @@ CLT for the vector of sample means:
 * ``misadj`` -- same truncation as ``mis`` with each added pair replaced
                 by its positive part, so the result is positive definite
                 and never smaller (in determinant) than ``mis``.
-* ``mk``     -- Kosorok-style truncation at the last pair sum whose
-                smallest eigenvalue is still positive.
+* ``mk``     -- Kosorok-style truncation at the last pair sum that is
+                still positive definite (the same relative test as
+                ``mis``).
 
 ``uis_components`` runs ``uis`` on each coordinate of a multivariate chain.
 """
@@ -28,6 +29,7 @@ import numpy as np
 from .autocov import LagPairSequence
 from .chain import Chain
 from .symmat import (
+    eigen_sym,
     eigenvalues_sym,
     pd_from_eigenvalues,
     positive_part,
@@ -42,7 +44,7 @@ class NoPositiveDefinitePartialSum(RuntimeError):
     """No truncated covariance sum is positive definite.
 
     Either the run is too short or the chain is degenerate, for instance
-    because one of its columns is constant.
+    because one of its columns is constant or collinear with others.
     """
 
 
@@ -88,17 +90,38 @@ def _require_pairs_available(pairs: LagPairSequence, method: str) -> None:
         raise ValueError(f"{method} needs n >= 2, got n={pairs.n}")
 
 
+def _estimate(method: str, sigma: np.ndarray, s_n: int | None, t_n: int,
+              w: np.ndarray | None = None) -> MvEstimate:
+    """An estimate of ``sigma``, whose ascending eigenvalues are ``w`` if known."""
+    if w is None:
+        w = eigenvalues_sym(sigma)
+    _, logabs = signed_logdet(w)
+    return MvEstimate(method, sigma, s_n, t_n, logabs, pd_from_eigenvalues(w),
+                      degenerate=t_n < 0)
+
+
 def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int, np.ndarray]:
     """Shared mis/misadj truncation scan.
 
     Returns (s_n, t_n, eigenvalues of the truncated sum at t_n).  The
     determinant run uses sign-aware comparisons so that a sum that loses
     definiteness mid-run is still compared correctly.  A chain with a
-    constant column fails before any pair is materialized.
+    constant column, or whose lag-0 autocovariance fails the
+    positive-definite test, fails before any pair is materialized: a null
+    vector of gamma0 is a null vector of every lag matrix.
     """
     if pairs.constant_columns:
         raise NoPositiveDefinitePartialSum(
             f"column c{pairs.constant_columns[0] + 1} is constant, so no "
+            f"truncated covariance sum can be positive definite"
+        )
+    if not pd_from_eigenvalues(eigenvalues_sym(pairs.gamma0)):
+        spec = eigen_sym(pairs.gamma0)
+        j = int(np.argmax(np.abs(spec.eigenvectors[:, 0])))
+        raise NoPositiveDefinitePartialSum(
+            f"the lag-0 autocovariance is singular (eigenvalues "
+            f"{spec.eigenvalues[0]:.3e} to {spec.eigenvalues[-1]:.3e}); column "
+            f"c{j + 1} is near-constant or collinear with other columns, so no "
             f"truncated covariance sum can be positive definite"
         )
     s_n = None
@@ -136,9 +159,7 @@ def mis(chain: ChainOrPairs) -> MvEstimate:
     pairs = _as_pairs(chain)
     _require_pairs_available(pairs, "mis")
     s_n, t_n, w = _scan_initial_sequence(pairs)
-    sigma = pairs.partial_sum(t_n)
-    _, logabs = signed_logdet(w)
-    return MvEstimate("mis", sigma, s_n, t_n, logabs, pd_from_eigenvalues(w))
+    return _estimate("mis", pairs.partial_sum(t_n), s_n, t_n, w)
 
 
 def misadj(chain: ChainOrPairs) -> MvEstimate:
@@ -154,37 +175,27 @@ def misadj(chain: ChainOrPairs) -> MvEstimate:
     sigma = pairs.partial_sum(s_n).copy()
     for i in range(s_n + 1, t_n + 1):
         sigma = sigma + 2.0 * positive_part(pairs.pair(i))
-    w = eigenvalues_sym(sigma)
-    _, logabs = signed_logdet(w)
-    return MvEstimate("misadj", sigma, s_n, t_n, logabs, pd_from_eigenvalues(w))
+    return _estimate("misadj", sigma, s_n, t_n)
 
 
 def mk(chain: ChainOrPairs) -> MvEstimate:
     """Smallest-eigenvalue truncation estimate.
 
     Truncates at the largest m such that every pair sum with index in
-    {0, ..., m} has a strictly positive smallest eigenvalue; vetting the
-    first pair too matches the univariate rule.  When the first pair
-    already fails, the result is a degenerate fallback to the lag-0
-    autocovariance with ``t_n == -1``.
+    {0, ..., m} passes the positive-definite test; vetting the first pair
+    too matches the univariate rule, and for p = 1 the test is exactly
+    positivity.  When the first pair already fails, the result is a
+    degenerate fallback to the lag-0 autocovariance with ``t_n == -1``.
     """
     pairs = _as_pairs(chain)
     _require_pairs_available(pairs, "mk")
     t_n = -1
     for i in range(pairs.max_index + 1):
-        if not eigenvalues_sym(pairs.pair(i))[0] > 0.0:
+        if not pd_from_eigenvalues(eigenvalues_sym(pairs.pair(i))):
             break
         t_n = i
-    if t_n < 0:
-        sigma = pairs.gamma0
-        w = eigenvalues_sym(sigma)
-        _, logabs = signed_logdet(w)
-        return MvEstimate("mk", sigma, None, -1, logabs,
-                          pd_from_eigenvalues(w), degenerate=True)
-    sigma = pairs.partial_sum(t_n)
-    w = eigenvalues_sym(sigma)
-    _, logabs = signed_logdet(w)
-    return MvEstimate("mk", sigma, None, t_n, logabs, pd_from_eigenvalues(w))
+    sigma = pairs.gamma0 if t_n < 0 else pairs.partial_sum(t_n)
+    return _estimate("mk", sigma, None, t_n)
 
 
 def uis(chain: ChainOrPairs) -> UvEstimate:

@@ -274,11 +274,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
                 pool.submit(_worker, config_dict, truth_list, r)
                 for r in range(config.replications)
             ]
-            by_index = {}
-            for fut in futures:
-                rec = fut.result()
-                by_index[rec["replication"]] = rec
-        records = [by_index[r] for r in range(config.replications)]
+            records = [fut.result() for fut in futures]
     table = _aggregate(config, records)
     return ReplicationReport(config, truth, truth_se, table, records)
 

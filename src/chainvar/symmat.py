@@ -76,9 +76,10 @@ def pd_from_eigenvalues(w: np.ndarray) -> bool:
     """Positive-definite test on an ascending eigenvalue vector.
 
     True iff the smallest eigenvalue clears a threshold relative to the
-    largest magnitude, ``w[0] > tol * max(1, |w[-1]|)``.
+    largest magnitude, ``w[0] > tol * |w[-1]|``, so the answer does not
+    depend on the units of the matrix.
     """
-    return bool(w[0] > PD_RELATIVE_TOL * max(1.0, abs(float(w[-1]))))
+    return bool(w[0] > PD_RELATIVE_TOL * abs(float(w[-1])))
 
 
 def is_pd(m: np.ndarray) -> bool:

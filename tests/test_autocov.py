@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chainvar import Chain, LagPairSequence, autocov, pair_sum, partial_sum, sym_autocov
+from chainvar import Chain, LagPairSequence, autocov, symmetrize
 
 
 def brute_autocov(values, t):
@@ -35,17 +35,18 @@ class TestHandValues:
         chain = Chain(np.tile([2.0, -1.0], (6, 1)))
         for t in range(6):
             np.testing.assert_array_equal(autocov(chain, t), np.zeros((2, 2)))
-        np.testing.assert_array_equal(pair_sum(chain, 0), np.zeros((2, 2)))
-        np.testing.assert_array_equal(partial_sum(chain, 0), np.zeros((2, 2)))
+        pairs = LagPairSequence(chain)
+        np.testing.assert_array_equal(pairs.pair(0), np.zeros((2, 2)))
+        np.testing.assert_array_equal(pairs.partial_sum(0), np.zeros((2, 2)))
 
     def test_two_point_scalar_chain(self):
         # values (0, 2): mean 1, centered (-1, 1)
         chain = Chain([0.0, 2.0])
         assert autocov(chain, 0)[0, 0] == 1.0
         assert autocov(chain, 1)[0, 0] == -0.5
-        assert sym_autocov(chain, 1)[0, 0] == -0.5
-        assert pair_sum(chain, 0)[0, 0] == 0.5
-        assert partial_sum(chain, 0)[0, 0] == 0.0
+        pairs = LagPairSequence(chain)
+        assert pairs.pair(0)[0, 0] == 0.5
+        assert pairs.partial_sum(0)[0, 0] == 0.0
 
     def test_alternating_chain(self):
         # (1,-1,1,-1): gamma0=1, gamma1=-0.75, gamma2=0.5, gamma3=-0.25
@@ -53,23 +54,28 @@ class TestHandValues:
         assert autocov(chain, 1)[0, 0] == -0.75
         assert autocov(chain, 2)[0, 0] == 0.5
         assert autocov(chain, 3)[0, 0] == -0.25
-        assert pair_sum(chain, 0)[0, 0] == 0.25
-        assert pair_sum(chain, 1)[0, 0] == 0.25
+        pairs = LagPairSequence(chain)
+        assert pairs.pair(0)[0, 0] == 0.25
+        assert pairs.pair(1)[0, 0] == 0.25
         # antithetic chain: the truncated sum at m=1 is exactly zero
-        assert partial_sum(chain, 1)[0, 0] == 0.0
+        assert pairs.partial_sum(1)[0, 0] == 0.0
 
     def test_bivariate_hand_case(self):
         # rows (1,0), (0,1): mean (.5,.5); lag-1 cross product is
         # (.5,-.5) x (-.5,.5) / 2
         chain = Chain([[1.0, 0.0], [0.0, 1.0]])
         expected = np.array([[-0.125, 0.125], [0.125, -0.125]])
-        np.testing.assert_allclose(sym_autocov(chain, 1), expected, atol=1e-15)
         np.testing.assert_allclose(autocov(chain, 1), expected, atol=1e-15)
+        # the only pair is gamma0 plus that (already symmetric) lag
+        np.testing.assert_allclose(
+            LagPairSequence(chain).pair(0), autocov(chain, 0) + expected, atol=1e-15
+        )
 
     def test_lag_zero_equals_symmetrized(self):
         rng = np.random.default_rng(0)
         chain = Chain(rng.standard_normal((30, 3)))
-        np.testing.assert_array_equal(autocov(chain, 0), sym_autocov(chain, 0))
+        np.testing.assert_array_equal(autocov(chain, 0), symmetrize(autocov(chain, 0)))
+        np.testing.assert_array_equal(autocov(chain, 0), LagPairSequence(chain).gamma0)
 
 
 class TestBruteForceOracle:
@@ -84,13 +90,13 @@ class TestBruteForceOracle:
                 np.testing.assert_allclose(
                     autocov(chain, t), brute_autocov(values, t), atol=1e-12
                 )
-            mmax = n // 2 - 1
-            for idx in {0, mmax}:
+            pairs = LagPairSequence(chain)
+            for idx in {0, pairs.max_index}:
                 np.testing.assert_allclose(
-                    pair_sum(chain, idx), brute_pair(values, idx), atol=1e-12
+                    pairs.pair(idx), brute_pair(values, idx), atol=1e-12
                 )
                 np.testing.assert_allclose(
-                    partial_sum(chain, idx), brute_partial(values, idx), atol=1e-12
+                    pairs.partial_sum(idx), brute_partial(values, idx), atol=1e-12
                 )
 
 
@@ -156,7 +162,9 @@ class TestLagPairSequence:
             autocov(chain, 10)
         with pytest.raises(ValueError):
             autocov(chain, -1)
+        pairs = LagPairSequence(chain)
+        assert pairs.max_index == 4
         with pytest.raises(ValueError):
-            pair_sum(chain, 5)
+            pairs.pair(5)
         with pytest.raises(ValueError):
-            partial_sum(chain, 5)
+            pairs.partial_sum(5)

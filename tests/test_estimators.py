@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainvar import (
     Chain,
@@ -229,17 +231,93 @@ class TestConstantColumn:
             method(pairs)
         assert len(pairs._pairs) == 0
 
-    def test_near_constant_column_takes_the_scan(self):
-        # a column one ulp away from constant is small enough to be checked
-        # for zero range, which it does not have
+    @pytest.mark.parametrize("method", [mis, misadj])
+    def test_near_constant_column_fails_before_any_pair(self, method):
+        # a column one ulp away from constant has a nonzero range, but its
+        # variance is far below the relative floor of the lag-0 test
         x = self._chain_with_constant_column().values.copy()
         x[:, 2] = 1e10
         x[7, 2] = np.nextafter(1e10, np.inf)
         pairs = LagPairSequence(Chain(x))
         assert pairs.constant_columns == ()
-        with pytest.raises(NoPositiveDefinitePartialSum, match=r"too short"):
-            mis(pairs)
-        assert len(pairs._pairs) == pairs.max_index + 1
+        with pytest.raises(NoPositiveDefinitePartialSum, match=r"column c3 is near-constant"):
+            method(pairs)
+        assert len(pairs._pairs) == 0
+
+    @pytest.mark.parametrize("method", [mis, misadj])
+    def test_collinear_columns_fail_before_any_pair(self, method):
+        rng = np.random.default_rng(30)
+        x = ar_like(rng, 400, 4).values.copy()
+        x[:, 3] = 0.2 * (x[:, 0] + x[:, 1])  # null vector (0.2, 0.2, 0, -1)
+        pairs = LagPairSequence(Chain(x))
+        with pytest.raises(NoPositiveDefinitePartialSum, match=r"column c4 is .* collinear"):
+            method(pairs)
+        assert len(pairs._pairs) == 0
+
+
+# (chain seed, n, p) of an ar_like chain for the property tests
+_chains = st.tuples(st.integers(0, 2**32 - 1), st.integers(60, 300), st.integers(1, 4))
+
+
+def _outcome(method, chain):
+    try:
+        return method(chain)
+    except NoPositiveDefinitePartialSum:
+        return None
+
+
+class TestUnitsDoNotMatter:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_chains, k=st.integers(-60, 60))
+    def test_power_of_two_scaling(self, spec, k):
+        # scaling the chain by 2**k scales every lag matrix by 4**k exactly,
+        # so truncation, definiteness and the estimate's digits carry over
+        seed, n, p = spec
+        chain = ar_like(np.random.default_rng(seed), n, p)
+        scaled = Chain(chain.values * 2.0**k)
+        for method in (mis, misadj, mk):
+            a = _outcome(method, chain)
+            b = _outcome(method, scaled)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.s_n, a.t_n, a.pd) == (b.s_n, b.t_n, b.pd)
+                assert np.array_equal(b.sigma, a.sigma * 4.0**k)
+
+    def test_tiny_units_estimate(self):
+        # the former absolute floor rejected every truncated sum of this
+        # chain once its values were of order 1e-7
+        chain = ar1_simulate(Ar1Params.hadamard_fixture(4), 16_000, seed=3)
+        tiny = Chain(chain.values * 1e-7)
+        for method in (mis, misadj, mk):
+            a = method(chain)
+            b = method(tiny)
+            assert (a.s_n, a.t_n) == (b.s_n, b.t_n)
+            assert b.pd
+            np.testing.assert_allclose(b.sigma, a.sigma * 1e-14, rtol=1e-9)
+
+
+class TestDegenerateColumnsFailFast:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_chains, kind=st.sampled_from(["collinear", "near-collinear", "constant"]),
+           position=st.integers(0, 4), coef=st.tuples(st.floats(0.25, 4.0), st.floats(-4.0, 4.0)),
+           noise=st.floats(0.0, 1e-8))
+    def test_degenerate_column_raises_before_any_pair(self, spec, kind, position, coef,
+                                                      noise):
+        seed, n, p = spec
+        rng = np.random.default_rng(seed)
+        x = ar_like(rng, n, p).values
+        if kind == "constant":
+            col = np.full(n, coef[1])
+        else:
+            col = coef[0] * x[:, 0] + coef[1] * x[:, -1]
+            if kind == "near-collinear":
+                col = col + noise * np.std(col) * rng.standard_normal(n)
+        x = np.insert(x, min(position, p), col, axis=1)
+        for method in (mis, misadj):
+            pairs = LagPairSequence(Chain(x))
+            with pytest.raises(NoPositiveDefinitePartialSum):
+                method(pairs)
+            assert len(pairs._pairs) == 0
 
 
 class TestEquivariance:

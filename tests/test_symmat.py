@@ -68,6 +68,14 @@ class TestIsPd:
         assert is_pd(np.diag([1e-6, 1.0]))
         assert not is_pd(np.diag([1e-14, 1.0]))
 
+    def test_independent_of_units(self):
+        # the floor scales with the largest eigenvalue alone, so a tiny
+        # but well-conditioned matrix is positive definite
+        for scale in (1e-20, 1e-14, 1.0, 1e20):
+            assert is_pd(scale * np.diag([1e-6, 1.0]))
+            assert not is_pd(scale * np.diag([1e-14, 1.0]))
+        np.testing.assert_allclose(logdet_pd(1e-14 * np.eye(2)), 2 * np.log(1e-14))
+
 
 class TestLogdet:
     def test_identity_zero(self):
