@@ -6,11 +6,16 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import Chain
-from .symmat import symmetrize
+from .symmat import eigenvalues_sym, symmetrize
 
 
 def _centered(chain: Chain) -> np.ndarray:
     return chain.values - chain.mean
+
+
+def _locked(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _cross_lag(centered: np.ndarray, t: int) -> np.ndarray:
@@ -44,7 +49,8 @@ class LagPairSequence:
     centered values all coincide.  Each is a null direction of every lag
     matrix, so no truncated sum of such a chain is positive definite.
 
-    All matrices returned are exactly symmetric.  Materialization is not
+    All matrices returned are exactly symmetric.  Their eigenvalues are
+    computed at most once each, on request.  Materialization is not
     thread-safe; confine one instance to one thread.
     """
 
@@ -53,9 +59,7 @@ class LagPairSequence:
         self.p = chain.p
         self.max_index = chain.n // 2 - 1  # largest pair index, floor(n/2 - 1)
         self._centered = _centered(chain)
-        g0 = symmetrize(_cross_lag(self._centered, 0))
-        g0.setflags(write=False)
-        self._gamma0 = g0
+        g0 = self._gamma0 = _locked(symmetrize(_cross_lag(self._centered, 0)))
         # A constant column's centered value is the rounding error of its
         # mean, within n * eps * |mean| (the sequential-summation bound;
         # pairwise summation does better), so only columns with a variance
@@ -67,11 +71,30 @@ class LagPairSequence:
         )
         self._pairs: list[np.ndarray] = []
         self._partials: list[np.ndarray] = []
+        self._gamma0_w: np.ndarray | None = None
+        self._partial_w: dict[int, np.ndarray] = {}
+        # the mis/misadj truncation scan (or its failure message), kept by
+        # chainvar.estimators so that both methods share one scan
+        self._scan = None
 
     @property
     def gamma0(self) -> np.ndarray:
         """The lag-0 autocovariance (symmetric PSD)."""
         return self._gamma0
+
+    @property
+    def gamma0_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of :attr:`gamma0`, computed once."""
+        if self._gamma0_w is None:
+            self._gamma0_w = _locked(eigenvalues_sym(self._gamma0))
+        return self._gamma0_w
+
+    def partial_sum_eigenvalues(self, m: int) -> np.ndarray:
+        """Ascending eigenvalues of ``partial_sum(m)``, computed once."""
+        w = self._partial_w.get(m)
+        if w is None:
+            w = self._partial_w[m] = _locked(eigenvalues_sym(self.partial_sum(m)))
+        return w
 
     def _sym_lag(self, t: int) -> np.ndarray:
         if t == 0:
@@ -84,9 +107,7 @@ class LagPairSequence:
             raise ValueError(f"pair index i={i} out of range [0, {self.max_index}]")
         while len(self._pairs) <= i:
             k = len(self._pairs)
-            mat = self._sym_lag(2 * k) + self._sym_lag(2 * k + 1)
-            mat.setflags(write=False)
-            self._pairs.append(mat)
+            self._pairs.append(_locked(self._sym_lag(2 * k) + self._sym_lag(2 * k + 1)))
         return self._pairs[i]
 
     def partial_sum(self, m: int) -> np.ndarray:
@@ -96,7 +117,5 @@ class LagPairSequence:
         while len(self._partials) <= m:
             k = len(self._partials)
             prev = self._partials[k - 1] if k else -self._gamma0
-            total = prev + 2.0 * self.pair(k)
-            total.setflags(write=False)
-            self._partials.append(total)
+            self._partials.append(_locked(prev + 2.0 * self.pair(k)))
         return self._partials[m]

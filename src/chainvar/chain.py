@@ -48,6 +48,21 @@ class Chain:
         arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
+        self._lock(arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Chain":
+        """A chain over ``arr`` itself, for an array its maker hands off.
+
+        The array is validated and locked read-only in place, without the
+        copy the public constructor makes; it is converted only if it is
+        not already C-ordered float64.
+        """
+        chain = cls.__new__(cls)
+        chain._lock(np.asarray(arr, dtype=np.float64, order="C"))
+        return chain
+
+    def _lock(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ChainFormatError(f"chain values must be 2-d, got shape {arr.shape}")
         n, p = arr.shape
@@ -141,7 +156,7 @@ def _load_bin(path: Path) -> Chain:
     if n < 1 or p < 1:
         raise ChainFormatError(f"{path}: header declares empty shape n={n}, p={p}")
     values = np.frombuffer(raw, dtype=_VALUE_DTYPE, offset=_HEADER_BYTES)
-    return Chain(values.reshape(n, p))
+    return Chain._adopt(values.reshape(n, p))
 
 
 def _load_csv(path: Path) -> Chain:
@@ -167,4 +182,4 @@ def _load_csv(path: Path) -> Chain:
         raise ChainFormatError(
             f"{path}: header declares {p} columns, data has {values.shape[1]}"
         )
-    return Chain(values)
+    return Chain._adopt(values)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autocov import LagPairSequence
 from .chain import FORMATS, load_chain, save_chain
-from .diagnostics import cube_region, ellipsoid_region, ess, min_univariate_ess
+from .diagnostics import _ellipsoid_region, _ess, cube_region, min_univariate_ess
 from .estimators import (
     METHODS,
     MULTIVARIATE,
@@ -29,7 +29,7 @@ from .estimators import (
 )
 from .experiments import ExperimentConfig, emit_tables, run_replications
 from .samplers import MODELS, build
-from .symmat import NotPositiveDefiniteError, logdet_pd
+from .symmat import NotPositiveDefiniteError, logdet_from_eigenvalues
 
 # parameters `simulate` uses when no --params file is given
 _DEFAULT_PARAMS = {"ar1": {"kind": "hadamard", "p": 12}}
@@ -99,11 +99,12 @@ def _cmd_ess(args: argparse.Namespace) -> int:
     else:
         pairs = LagPairSequence(chain)
         est = MULTIVARIATE[args.method](pairs)
-        lam = pairs.gamma0
+        logdet_lam = logdet_from_eigenvalues(pairs.gamma0_eigenvalues)
         payload = {
             "method": args.method, "n": chain.n, "p": chain.p,
-            "ess": ess(chain.n, lam, est.sigma),
-            "logdet_lambda": logdet_pd(lam), "logdet_sigma": float(est.logdet),
+            "ess": _ess(chain.n, chain.p, logdet_lam,
+                        logdet_from_eigenvalues(est.eigenvalues)),
+            "logdet_lambda": logdet_lam, "logdet_sigma": float(est.logdet),
         }
     _write_json(payload, args.output)
     return 0
@@ -116,7 +117,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
         if args.method == "uis":
             raise ValueError("ellipsoid regions need a multivariate method")
         est = MULTIVARIATE[args.method](chain)
-        region = ellipsoid_region(chain.mean, est.sigma, chain.n, alpha)
+        region = _ellipsoid_region(chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
         shape = {"cutoff": region.cutoff,
                  "sigma": [float(v) for v in region.sigma.ravel()]}
     else:

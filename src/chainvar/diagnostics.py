@@ -12,7 +12,13 @@ from scipy import stats
 from .autocov import autocov
 from .chain import Chain
 from .estimators import UvEstimate, uis_components
-from .symmat import NotPositiveDefiniteError, eigenvalues_sym, logdet_pd, pd_from_eigenvalues
+from .symmat import (
+    NotPositiveDefiniteError,
+    eigenvalues_sym,
+    logdet_from_eigenvalues,
+    logdet_pd,
+    pd_from_eigenvalues,
+)
 
 
 def _check_prob(prob: float) -> float:
@@ -49,8 +55,12 @@ def ess(n: int, lam: np.ndarray, sigma: np.ndarray) -> float:
     does not overflow.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    p = lam.shape[0]
-    return float(n * math.exp((logdet_pd(lam) - logdet_pd(sigma)) / p))
+    return _ess(n, lam.shape[0], logdet_pd(lam), logdet_pd(sigma))
+
+
+def _ess(n: int, p: int, logdet_lam: float, logdet_sigma: float) -> float:
+    """:func:`ess` from the two log-determinants."""
+    return float(n * math.exp((logdet_lam - logdet_sigma) / p))
 
 
 def _univariate_ess(n: int, lam: np.ndarray, estimates: list[UvEstimate]) -> list[float]:
@@ -146,11 +156,16 @@ def ellipsoid_region(mu_n, sigma, n: int, alpha: float) -> Region:
     freedom; the volume is the unit-ball volume times
     ``(cutoff/n)**(p/2) * sqrt(det sigma)``.
     """
-    mu_n = np.asarray(mu_n, dtype=np.float64).reshape(-1)
     sigma = np.asarray(sigma, dtype=np.float64)
+    return _ellipsoid_region(mu_n, sigma, eigenvalues_sym(sigma), n, alpha)
+
+
+def _ellipsoid_region(mu_n, sigma: np.ndarray, w: np.ndarray, n: int,
+                      alpha: float) -> Region:
+    """:func:`ellipsoid_region` for a ``sigma`` whose ascending eigenvalues are ``w``."""
+    mu_n = np.asarray(mu_n, dtype=np.float64).reshape(-1)
     alpha = _check_prob(alpha)
     p = mu_n.shape[0]
-    w = eigenvalues_sym(sigma)
     if not pd_from_eigenvalues(w):
         raise NotPositiveDefiniteError("ellipsoid region needs a positive definite sigma")
     cutoff = chisq_quantile(1.0 - alpha, p)

@@ -21,7 +21,7 @@ CLT for the vector of sample means:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -54,8 +54,9 @@ class MvEstimate:
 
     ``s_n`` is the first index whose truncated sum is positive definite
     (None for methods that do not search for it), ``t_n`` the truncation
-    index actually used, ``logdet`` the log of |det sigma|, and ``pd``
-    whether ``sigma`` passed the positive-definite test.  Degenerate
+    index actually used, ``logdet`` the log of |det sigma|, ``pd``
+    whether ``sigma`` passed the positive-definite test, and
+    ``eigenvalues`` the ascending spectrum of ``sigma``.  Degenerate
     results (no usable truncation; ``t_n == -1`` and ``sigma`` falls back
     to the lag-0 autocovariance) are flagged rather than raised so that
     replication harnesses can aggregate and filter them.
@@ -68,6 +69,7 @@ class MvEstimate:
     logdet: float
     pd: bool
     degenerate: bool = False
+    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,25 +99,37 @@ def _estimate(method: str, sigma: np.ndarray, s_n: int | None, t_n: int,
         w = eigenvalues_sym(sigma)
     _, logabs = signed_logdet(w)
     return MvEstimate(method, sigma, s_n, t_n, logabs, pd_from_eigenvalues(w),
-                      degenerate=t_n < 0)
+                      degenerate=t_n < 0, eigenvalues=w)
 
 
-def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int, np.ndarray]:
-    """Shared mis/misadj truncation scan.
+def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int]:
+    """Shared mis/misadj truncation scan, run once per sequence.
 
-    Returns (s_n, t_n, eigenvalues of the truncated sum at t_n).  The
-    determinant run uses sign-aware comparisons so that a sum that loses
-    definiteness mid-run is still compared correctly.  A chain with a
-    constant column, or whose lag-0 autocovariance fails the
-    positive-definite test, fails before any pair is materialized: a null
-    vector of gamma0 is a null vector of every lag matrix.
+    Returns (s_n, t_n).  The determinant run uses sign-aware comparisons
+    so that a sum that loses definiteness mid-run is still compared
+    correctly.  A chain with a constant column, or whose lag-0
+    autocovariance fails the positive-definite test, fails before any
+    pair is materialized: a null vector of gamma0 is a null vector of
+    every lag matrix.  The result, or the failure, is kept on ``pairs``.
     """
+    if pairs._scan is None:
+        try:
+            pairs._scan = _scan(pairs)
+        except NoPositiveDefinitePartialSum as exc:
+            # the message, not the exception: its traceback would hold pairs
+            pairs._scan = str(exc)
+    if isinstance(pairs._scan, str):
+        raise NoPositiveDefinitePartialSum(pairs._scan)
+    return pairs._scan
+
+
+def _scan(pairs: LagPairSequence) -> tuple[int, int]:
     if pairs.constant_columns:
         raise NoPositiveDefinitePartialSum(
             f"column c{pairs.constant_columns[0] + 1} is constant, so no "
             f"truncated covariance sum can be positive definite"
         )
-    if not pd_from_eigenvalues(eigenvalues_sym(pairs.gamma0)):
+    if not pd_from_eigenvalues(pairs.gamma0_eigenvalues):
         spec = eigen_sym(pairs.gamma0)
         j = int(np.argmax(np.abs(spec.eigenvectors[:, 0])))
         raise NoPositiveDefinitePartialSum(
@@ -124,30 +138,22 @@ def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int, np.ndarray
             f"c{j + 1} is near-constant or collinear with other columns, so no "
             f"truncated covariance sum can be positive definite"
         )
-    s_n = None
-    w = None
-    for m in range(pairs.max_index + 1):
-        w = eigenvalues_sym(pairs.partial_sum(m))
-        if pd_from_eigenvalues(w):
-            s_n = m
-            break
+    s_n = next((m for m in range(pairs.max_index + 1)
+                if pd_from_eigenvalues(pairs.partial_sum_eigenvalues(m))), None)
     if s_n is None:
         raise NoPositiveDefinitePartialSum(
             f"no truncated covariance sum is positive definite for "
             f"m in [0, {pairs.max_index}]; the chain (n={pairs.n}) is too short"
         )
     t_n = s_n
-    best = signed_logdet(w)
-    w_best = w
+    best = signed_logdet(pairs.partial_sum_eigenvalues(s_n))
     for m in range(s_n + 1, pairs.max_index + 1):
-        w = eigenvalues_sym(pairs.partial_sum(m))
-        cur = signed_logdet(w)
+        cur = signed_logdet(pairs.partial_sum_eigenvalues(m))
         if not signed_logdet_greater(cur, best):
             break
         t_n = m
         best = cur
-        w_best = w
-    return s_n, t_n, w_best
+    return s_n, t_n
 
 
 def mis(chain: ChainOrPairs) -> MvEstimate:
@@ -158,8 +164,9 @@ def mis(chain: ChainOrPairs) -> MvEstimate:
     """
     pairs = _as_pairs(chain)
     _require_pairs_available(pairs, "mis")
-    s_n, t_n, w = _scan_initial_sequence(pairs)
-    return _estimate("mis", pairs.partial_sum(t_n), s_n, t_n, w)
+    s_n, t_n = _scan_initial_sequence(pairs)
+    return _estimate("mis", pairs.partial_sum(t_n), s_n, t_n,
+                     pairs.partial_sum_eigenvalues(t_n))
 
 
 def misadj(chain: ChainOrPairs) -> MvEstimate:
@@ -171,7 +178,7 @@ def misadj(chain: ChainOrPairs) -> MvEstimate:
     """
     pairs = _as_pairs(chain)
     _require_pairs_available(pairs, "misadj")
-    s_n, t_n, _ = _scan_initial_sequence(pairs)
+    s_n, t_n = _scan_initial_sequence(pairs)
     sigma = pairs.partial_sum(s_n).copy()
     for i in range(s_n + 1, t_n + 1):
         sigma = sigma + 2.0 * positive_part(pairs.pair(i))
@@ -194,8 +201,10 @@ def mk(chain: ChainOrPairs) -> MvEstimate:
         if not pd_from_eigenvalues(eigenvalues_sym(pairs.pair(i))):
             break
         t_n = i
-    sigma = pairs.gamma0 if t_n < 0 else pairs.partial_sum(t_n)
-    return _estimate("mk", sigma, None, t_n)
+    if t_n < 0:
+        return _estimate("mk", pairs.gamma0, None, t_n, pairs.gamma0_eigenvalues)
+    return _estimate("mk", pairs.partial_sum(t_n), None, t_n,
+                     pairs.partial_sum_eigenvalues(t_n))
 
 
 def uis(chain: ChainOrPairs) -> UvEstimate:

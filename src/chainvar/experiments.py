@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import pin_single_thread, single_threaded_blas
 from .autocov import LagPairSequence
 from .chain import Chain
-from .diagnostics import _univariate_ess, cube_region, ellipsoid_region, ess
+from .diagnostics import _ellipsoid_region, _ess, _univariate_ess, cube_region
 from .estimators import METHODS, MULTIVARIATE, NoPositiveDefinitePartialSum, uis_components
 from .samplers import MODELS, build, replication_stream, truth_stream
-from .symmat import NotPositiveDefiniteError
+from .symmat import NotPositiveDefiniteError, logdet_from_eigenvalues
 
 REGION_KINDS = ("ellipsoid", "cube", "bonferroni")
 TRUTH_KINDS = ("analytic", "long-run", "external")
@@ -138,7 +139,7 @@ def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
     """Simulate one replication and evaluate every requested method on it."""
     chain, _ = simulate(config.n, replication_stream(config.master_seed, index))
     pairs = LagPairSequence(chain)
-    lam = pairs.gamma0
+    logdet_lam = None  # log det(gamma0), taken once the first estimate needs it
     mu = chain.mean
     alpha = 1.0 - config.level
     out: dict = {"replication": index, "methods": {}}
@@ -152,9 +153,12 @@ def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
                 raise NotPositiveDefiniteError("degenerate estimate")
             entry.update(s_n=est.s_n, t_n=est.t_n, logdet=float(est.logdet),
                          pd=bool(est.pd))
-            entry["ess"] = ess(chain.n, lam, est.sigma)
+            if logdet_lam is None:
+                logdet_lam = logdet_from_eigenvalues(pairs.gamma0_eigenvalues)
+            entry["ess"] = _ess(chain.n, chain.p, logdet_lam,
+                                logdet_from_eigenvalues(est.eigenvalues))
             if "ellipsoid" in config.regions:
-                region = ellipsoid_region(mu, est.sigma, chain.n, alpha)
+                region = _ellipsoid_region(mu, est.sigma, est.eigenvalues, chain.n, alpha)
                 entry["volroot"] = region.volume_root
                 entry["covered"] = bool(region.contains(truth))
         except (NoPositiveDefinitePartialSum, NotPositiveDefiniteError) as exc:
@@ -256,25 +260,38 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     Replications may run in parallel (``workers`` processes); records are
     always reduced in replication order, so the report does not depend on
     the worker count.
+
+    The whole run uses one OpenBLAS thread per process, and the caller's
+    thread counts are restored on return, so the report does not depend
+    on them either.  ``workers`` is the way to use more cores: idle BLAS
+    threads would spin on the cores the workers need, and a threaded dot
+    product splits its sum, which changes the last digits of ``uis``.
+    The price is paid where BLAS work dominates and one worker runs, such
+    as random effects at K=21 (p=65 lag products) at ``workers=1``; the
+    README's Parallelism section gives the numbers.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    simulate, analytic = build(config.model, config.model_params)
-    truth, truth_se = _resolve_truth(config, simulate, analytic)
-    if workers == 1 or config.replications == 1:
-        records = [
-            _replication_record(config, simulate, truth, r)
-            for r in range(config.replications)
-        ]
-    else:
-        config_dict = config.to_dict()
-        truth_list = [float(v) for v in truth]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_worker, config_dict, truth_list, r)
+    with single_threaded_blas():
+        simulate, analytic = build(config.model, config.model_params)
+        truth, truth_se = _resolve_truth(config, simulate, analytic)
+        if workers == 1 or config.replications == 1:
+            records = [
+                _replication_record(config, simulate, truth, r)
                 for r in range(config.replications)
             ]
-            records = [fut.result() for fut in futures]
+        else:
+            config_dict = config.to_dict()
+            truth_list = [float(v) for v in truth]
+            # forked workers inherit one thread; the initializer covers
+            # start methods that import numpy afresh
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=pin_single_thread) as pool:
+                futures = [
+                    pool.submit(_worker, config_dict, truth_list, r)
+                    for r in range(config.replications)
+                ]
+                records = [fut.result() for fut in futures]
     table = _aggregate(config, records)
     return ReplicationReport(config, truth, truth_se, table, records)
 

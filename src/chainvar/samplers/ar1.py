@@ -181,4 +181,4 @@ def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
     z = np.empty((n, p))
     for k in range(p):
         z[:, k], _ = lfilter([1.0], [1.0, -d[k]], w[:, k], zi=[d[k] * z0[k]])
-    return Chain(z @ basis.T)
+    return Chain._adopt(z @ basis.T)

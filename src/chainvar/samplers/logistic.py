@@ -146,7 +146,7 @@ def random_walk_metropolis(logpdf, initial, step_sd: float, n: int,
             logp = logp_prop
             accepted += 1
         out[i] = x
-    return RwmRun(Chain(out), accepted / n)
+    return RwmRun(Chain._adopt(out), accepted / n)
 
 
 def rwm_logistic(data: LogisticData, step_sd: float, n: int, seed: SeedLike) -> RwmRun:

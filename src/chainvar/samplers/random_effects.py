@@ -100,32 +100,15 @@ def draw_observation_precisions(state: RandomEffectsState, hyper: RandomEffectsH
     return _gamma_draws(hyper.a3 + 0.5, rates, rng)
 
 
-def location_precision(state: RandomEffectsState, hyper: RandomEffectsHyper,
-                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Precision matrix and linear term of the (theta, mu) full conditional.
-
-    The conditional is N(P^{-1} b, P^{-1}) with an arrow-shaped P:
-    diagonal ``gam_i + lam_theta lam_i`` over theta, border
-    ``-lam_theta lam_i`` coupling each theta_i to mu, and corner
-    ``v0 + lam_theta sum(lam)``.
-    """
-    K = state.theta.shape[0]
-    coupling = state.lam_theta * state.lam
-    P = np.zeros((K + 1, K + 1))
-    P[np.arange(K), np.arange(K)] = state.gam + coupling
-    P[:K, K] = -coupling
-    P[K, :K] = -coupling
-    P[K, K] = hyper.v0 + coupling.sum()
-    b = np.concatenate([state.gam * y, [hyper.v0 * hyper.m0]])
-    return P, b
-
-
 def draw_locations(state: RandomEffectsState, hyper: RandomEffectsHyper,
                    y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw of (theta_1..theta_K, mu) from the joint normal conditional.
 
-    Draws from N(P^{-1} b, P^{-1}) with P and b as in
-    :func:`location_precision`, in O(K).  With ``c = lam_theta lam`` and
+    Draws from N(P^{-1} b, P^{-1}) in O(K).  The precision P is
+    arrow-shaped: diagonal ``gam_i + lam_theta lam_i`` over theta, border
+    ``-lam_theta lam_i`` coupling each theta_i to mu, and corner
+    ``v0 + lam_theta sum(lam)``; the linear term is
+    ``b = (gam_1 y_1, ..., gam_K y_K, v0 m0)``.  With ``c = lam_theta lam`` and
     ``D = gam + c``, the Cholesky factor L of P (mu last) has diagonal
     ``sqrt(D)`` over theta, bottom row ``-c / sqrt(D)`` and corner
     ``sqrt(S)``, where the Schur complement of the theta block is
@@ -202,4 +185,4 @@ def gibbs_random_effects(y, hyper: RandomEffectsHyper | None = None, n: int = 1,
             state.theta = xi[:K]
             state.mu = float(xi[K])
         out[i] = row
-    return Chain(out)
+    return Chain._adopt(out)

@@ -89,7 +89,11 @@ def is_pd(m: np.ndarray) -> bool:
 
 def logdet_pd(m: np.ndarray) -> float:
     """Log-determinant of a positive definite matrix, as a sum of log eigenvalues."""
-    w = eigenvalues_sym(m)
+    return logdet_from_eigenvalues(eigenvalues_sym(m))
+
+
+def logdet_from_eigenvalues(w: np.ndarray) -> float:
+    """:func:`logdet_pd` of the matrix whose ascending eigenvalues are ``w``."""
     if not pd_from_eigenvalues(w):
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (smallest eigenvalue {w[0]:.3e})"

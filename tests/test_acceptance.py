@@ -199,7 +199,8 @@ def test_criterion_6_log_posterior_gradient():
 
 @pytest.mark.skipif(
     not os.environ.get("CHAINVAR_PAPER_SCALE"),
-    reason="paper-scale spot check (tens of minutes); set CHAINVAR_PAPER_SCALE=1",
+    reason="paper-scale spot check (about 1 min with OPENBLAS_NUM_THREADS=1, "
+           "about 1.2 s per run on 2 CPUs); set CHAINVAR_PAPER_SCALE=1",
 )
 def test_criterion_7_paper_scale_ess_ratio():
     from chainvar.autocov import LagPairSequence

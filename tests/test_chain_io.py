@@ -129,3 +129,44 @@ def test_unknown_format_rejected(tmp_path):
         save_chain(chain, tmp_path / "x", "hdf5")
     with pytest.raises(ValueError):
         load_chain(tmp_path / "x", "hdf5")
+
+
+def test_adopted_array_is_not_copied():
+    arr = np.arange(12.0).reshape(6, 2)
+    chain = Chain._adopt(arr)
+    assert np.shares_memory(chain.values, arr)
+    assert not chain.values.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1.0
+
+
+def test_adopted_array_is_still_validated():
+    arr = np.zeros((5, 3))
+    arr[2, 1] = np.inf
+    with pytest.raises(NonFiniteValueError, match="row 2, column c2"):
+        Chain._adopt(arr)
+    with pytest.raises(ChainFormatError):
+        Chain._adopt(np.zeros(4))
+
+
+def test_samplers_and_loaders_hand_off_without_a_copy(tmp_path, monkeypatch):
+    from chainvar.samplers import build
+
+    chains = [build(model, params)[0](500, 3)[0] for model, params in
+              (("ar1", {"kind": "hadamard", "p": 4}), ("logistic", {}), ("ranef", {"K": 2}))]
+    for fmt in ("bin", "csv"):
+        save_chain(chains[0], tmp_path / f"c.{fmt}", fmt)
+
+    def copying_constructor(self, values):
+        raise AssertionError("the copying constructor was called")
+
+    monkeypatch.setattr(Chain, "__init__", copying_constructor)
+    again = [build(model, params)[0](500, 3)[0] for model, params in
+             (("ar1", {"kind": "hadamard", "p": 4}), ("logistic", {}), ("ranef", {"K": 2}))]
+    for before, after in zip(chains, again):
+        np.testing.assert_array_equal(after.values, before.values)
+        assert not after.values.flags.writeable
+    for fmt in ("bin", "csv"):
+        loaded = load_chain(tmp_path / f"c.{fmt}", fmt)
+        np.testing.assert_array_equal(loaded.values, chains[0].values)
+        assert not loaded.values.flags.writeable

@@ -1,12 +1,22 @@
 """Replication harness: determinism, aggregation accounting, and table emission."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from chainvar import ExperimentConfig, emit_tables, run_replications
+from chainvar import (
+    ExperimentConfig,
+    diagnostics,
+    emit_tables,
+    estimators,
+    experiments,
+    run_replications,
+    symmat,
+)
 from chainvar.experiments import CSV_COLUMNS
+from chainvar.samplers import build
 
 
 def scalar_config(**overrides):
@@ -174,6 +184,31 @@ class TestDeterminism:
         emit_tables(serial, a, "json")
         emit_tables(parallel, b, "json")
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_spectrum_per_matrix_per_replication(monkeypatch):
+    # gamma0 once, each pair mk tests, each partial sum the mis scan tests
+    # (misadj shares the scan, mk's sigma is one of those sums), and the
+    # misadj sigma; ess and the ellipsoid reuse the estimates' spectra
+    decomposed = []
+    real = symmat.eigenvalues_sym
+
+    def counting(m):
+        decomposed.append(np.asarray(m).tobytes())
+        return real(m)
+
+    # (the package's name "autocov" is the function, not the module)
+    for module in (symmat, sys.modules["chainvar.autocov"], estimators, diagnostics):
+        if hasattr(module, "eigenvalues_sym"):
+            monkeypatch.setattr(module, "eigenvalues_sym", counting)
+    config = ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 12},
+                              n=20_000, replications=1, master_seed=1)
+    simulate, truth = build(config.model, config.model_params)
+    record = experiments._replication_record(config, simulate, truth, 0)["methods"]
+    assert len(decomposed) == len(set(decomposed))
+    mk_tested, mis_tested = record["mk"]["t_n"] + 2, record["mis"]["t_n"] + 2
+    assert mk_tested + mis_tested <= 10  # no scan reached the end of the chain
+    assert len(decomposed) == 1 + mk_tested + mis_tested + 1
 
 
 class TestEmitTables:

@@ -33,7 +33,6 @@ from chainvar.samplers.random_effects import (
     draw_locations,
     draw_observation_precisions,
     draw_shrinkage_precision,
-    location_precision,
 )
 
 
@@ -334,6 +333,20 @@ class TestGibbsConditionals:
             assert abs(draws[:, k].mean() - mean[k]) <= 4.0 * se
         emp_cov = np.cov(draws.T)
         assert np.abs(emp_cov - cov).max() <= 0.05 * np.abs(cov).max()
+
+
+def location_precision(state, hyper, y):
+    # dense precision P and linear term b of the (theta, mu) conditional
+    # N(P^-1 b, P^-1): the arrow form that draw_locations factors in closed form
+    K = state.theta.shape[0]
+    coupling = state.lam_theta * state.lam
+    P = np.zeros((K + 1, K + 1))
+    P[np.arange(K), np.arange(K)] = state.gam + coupling
+    P[:K, K] = -coupling
+    P[K, :K] = -coupling
+    P[K, K] = hyper.v0 + coupling.sum()
+    b = np.concatenate([state.gam * y, [hyper.v0 * hyper.m0]])
+    return P, b
 
 
 def _dense_draw_locations(state, hyper, y, rng):
