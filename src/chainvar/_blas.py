@@ -2,15 +2,18 @@
 
 The replication harness takes its parallelism from worker processes, so
 it runs BLAS on one thread: idle OpenBLAS threads spin on the cores the
-workers need, and a threaded dot product splits its sum, which changes
-the last digits of the result.  Only libraries already loaded into this
-process are touched; where none is found, nothing happens.
+workers need.  Single-column lag products run on one thread everywhere,
+because a threaded dot product splits its sum, which changes the last
+digits of the result.  Only libraries already loaded into this process
+are touched; where none is found, nothing happens.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+import threading
 from pathlib import Path
 
 # (setter, getter) names: numpy's 64-bit-integer build, scipy's build, plain OpenBLAS
@@ -31,8 +34,13 @@ def _loaded_paths() -> list[str]:
     return sorted(path for path in paths if "openblas" in Path(path).name)
 
 
-def _controls() -> list[tuple]:
-    """(set, get) thread-count functions, one pair per loaded library."""
+@functools.cache
+def _controls() -> tuple:
+    """(set, get) thread-count functions, one pair per loaded library.
+
+    Found once per process: importing chainvar loads numpy's and scipy's
+    BLAS, the only ones it calls.
+    """
     controls = []
     for path in _loaded_paths():
         lib = ctypes.CDLL(path)  # already loaded, so this only returns its handle
@@ -42,7 +50,7 @@ def _controls() -> list[tuple]:
             setter.argtypes, setter.restype = [ctypes.c_int], None
             getter.argtypes, getter.restype = [], ctypes.c_int
             controls.append((setter, getter))
-    return controls
+    return tuple(controls)
 
 
 def pin_single_thread() -> None:
@@ -51,15 +59,28 @@ def pin_single_thread() -> None:
         setter(1)
 
 
+# The thread count is process-wide, so managers share one nesting count:
+# the outermost saves the counts and the last one to leave restores them.
+_lock = threading.Lock()
+_depth = 0
+_saved: list[int] = []
+
+
 @contextlib.contextmanager
 def single_threaded_blas():
     """Run the body with every loaded OpenBLAS on one thread; restore the counts after."""
-    controls = _controls()
-    saved = [getter() for _, getter in controls]
+    global _depth
+    with _lock:
+        if _depth == 0:
+            _saved[:] = [getter() for _, getter in _controls()]
+            for setter, _ in _controls():
+                setter(1)
+        _depth += 1
     try:
-        for setter, _ in controls:
-            setter(1)
         yield
     finally:
-        for (setter, _), count in zip(controls, saved):
-            setter(count)
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                for (setter, _), count in zip(_controls(), _saved):
+                    setter(count)

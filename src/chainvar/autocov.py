@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .chain import Chain
 from .symmat import eigenvalues_sym, symmetrize
 
@@ -22,6 +23,11 @@ def _cross_lag(centered: np.ndarray, t: int) -> np.ndarray:
     # (1/n) sum_{i=1}^{n-t} c_i c_{i+t}^T with divisor n, not n - t; the
     # telescoping of the truncated sums below relies on this normalization.
     n = centered.shape[0]
+    if centered.shape[1] == 1:
+        # one column is a dot product, whose threaded form splits the sum
+        # and so gives last digits that depend on the BLAS thread count
+        with single_threaded_blas():
+            return centered[: n - t].T @ centered[t:] / n
     return centered[: n - t].T @ centered[t:] / n
 
 
@@ -73,9 +79,6 @@ class LagPairSequence:
         self._partials: list[np.ndarray] = []
         self._gamma0_w: np.ndarray | None = None
         self._partial_w: dict[int, np.ndarray] = {}
-        # the mis/misadj truncation scan (or its failure message), kept by
-        # chainvar.estimators so that both methods share one scan
-        self._scan = None
 
     @property
     def gamma0(self) -> np.ndarray:

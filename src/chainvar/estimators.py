@@ -103,27 +103,16 @@ def _estimate(method: str, sigma: np.ndarray, s_n: int | None, t_n: int,
 
 
 def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int]:
-    """Shared mis/misadj truncation scan, run once per sequence.
+    """Shared mis/misadj truncation scan.
 
     Returns (s_n, t_n).  The determinant run uses sign-aware comparisons
     so that a sum that loses definiteness mid-run is still compared
     correctly.  A chain with a constant column, or whose lag-0
     autocovariance fails the positive-definite test, fails before any
     pair is materialized: a null vector of gamma0 is a null vector of
-    every lag matrix.  The result, or the failure, is kept on ``pairs``.
+    every lag matrix.  Spectra come from ``pairs``, which computes each
+    once, so a second scan of the same sequence decomposes nothing.
     """
-    if pairs._scan is None:
-        try:
-            pairs._scan = _scan(pairs)
-        except NoPositiveDefinitePartialSum as exc:
-            # the message, not the exception: its traceback would hold pairs
-            pairs._scan = str(exc)
-    if isinstance(pairs._scan, str):
-        raise NoPositiveDefinitePartialSum(pairs._scan)
-    return pairs._scan
-
-
-def _scan(pairs: LagPairSequence) -> tuple[int, int]:
     if pairs.constant_columns:
         raise NoPositiveDefinitePartialSum(
             f"column c{pairs.constant_columns[0] + 1} is constant, so no "

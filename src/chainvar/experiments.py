@@ -264,11 +264,11 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     The whole run uses one OpenBLAS thread per process, and the caller's
     thread counts are restored on return, so the report does not depend
     on them either.  ``workers`` is the way to use more cores: idle BLAS
-    threads would spin on the cores the workers need, and a threaded dot
-    product splits its sum, which changes the last digits of ``uis``.
-    The price is paid where BLAS work dominates and one worker runs, such
-    as random effects at K=21 (p=65 lag products) at ``workers=1``; the
-    README's Parallelism section gives the numbers.
+    threads would spin on the cores the workers need.  The price is paid
+    where BLAS work dominates and one worker runs, such as random effects
+    at K=21 (p=65 lag products) at ``workers=1``, a configuration no
+    benchmark workload measures; the README's Parallelism section gives
+    the hand-timed numbers.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")

@@ -1,5 +1,6 @@
-"""BLAS threading: the thread-count helper, and harness reports that do not
-depend on the BLAS thread count, the worker count or the start method."""
+"""BLAS threading: the thread-count helper, harness reports that do not
+depend on the BLAS thread count, the worker count or the start method, and
+single-column analyst outputs that do not depend on the thread count."""
 
 import json
 import os
@@ -60,9 +61,20 @@ class TestSingleThreadedBlas:
         _blas.pin_single_thread()
         assert _counts(two_threads) == [1] * len(two_threads)
 
+    def test_overlapping_use_restores_when_the_last_one_leaves(self, two_threads):
+        # managers entered from two Python threads need not leave in order
+        first, second = _blas.single_threaded_blas(), _blas.single_threaded_blas()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert _counts(two_threads) == [1] * len(two_threads)
+        second.__exit__(None, None, None)
+        assert _counts(two_threads) == [2] * len(two_threads)
+
     def test_noop_without_openblas(self, two_threads, monkeypatch):
         monkeypatch.setattr(_blas, "_loaded_paths", lambda: [])
-        assert _blas._controls() == []
+        assert _blas._controls.__wrapped__() == ()
+        monkeypatch.setattr(_blas, "_controls", lambda: ())
         with _blas.single_threaded_blas():
             assert _counts(two_threads) == [2] * len(two_threads)
         _blas.pin_single_thread()
@@ -87,15 +99,26 @@ CONFIGS = {
                   "truth": {"kind": "long-run", "n_truth": 20_000}},
 }
 
+OUTPUTS = [(name, fmt) for name in CONFIGS for fmt in ("csv", "json")] + [("analyst", "txt")]
+
 _DRIVER = """
 import json, multiprocessing, sys
-from chainvar import ExperimentConfig, emit_tables, run_replications
+from chainvar import (ExperimentConfig, emit_tables, mk, run_replications, sample_cov,
+                      univariate_ess_components)
+from chainvar.samplers import build, replication_stream
 configs, out, workers, start_method = json.loads(sys.argv[1]), *sys.argv[2:]
 multiprocessing.set_start_method(start_method)
 for name, fields in sorted(configs.items()):
     report = run_replications(ExperimentConfig.from_dict(fields), workers=int(workers))
     emit_tables(report, f"{out}_{name}.csv", "csv")
     emit_tables(report, f"{out}_{name}.json", "json")
+# the analyst path: per-column uis, and a one-column chain's lags
+chain, _ = build("ar1", {"kind": "hadamard", "p": 12})[0](20_000, replication_stream(1, 0))
+column = chain.column(0)
+values = [univariate_ess_components(chain), mk(column).sigma.tolist(),
+          sample_cov(column).tolist()]
+with open(f"{out}_analyst.txt", "w") as fh:
+    fh.write(repr(values))
 """
 
 
@@ -111,9 +134,8 @@ def test_reports_identical_across_blas_threads_and_workers(tmp_path):
         out = tmp_path / f"t{threads}_w{workers}_{start}"
         subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(CONFIGS), str(out),
                         str(workers), start], env=env, check=True, timeout=300)
-        for name in CONFIGS:
-            for fmt in ("csv", "json"):
-                reports[run, name, fmt] = Path(f"{out}_{name}.{fmt}").read_bytes()
+        for name, fmt in OUTPUTS:
+            reports[run, name, fmt] = Path(f"{out}_{name}.{fmt}").read_bytes()
     base = "threads=1 workers=1 fork"
     for (run, name, fmt), report in reports.items():
         assert report == reports[base, name, fmt], f"{name} {fmt} report of {run} differs from {base}"

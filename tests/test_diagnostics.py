@@ -20,7 +20,6 @@ from chainvar import (
     sample_cov,
     univariate_ess_components,
 )
-from chainvar._blas import single_threaded_blas
 from chainvar.samplers import build, replication_stream
 from chainvar.symmat import NotPositiveDefiniteError
 
@@ -129,8 +128,6 @@ class TestMinUnivariateEss:
     def test_components_match_harness_uis_ess_bit_for_bit(self):
         # the harness reports n * min(gamma0_jj / sigma2_j) as its uis ESS;
         # the analyst path must give the very same number for the same chain
-        # at the same BLAS thread count (the harness runs on one thread, and
-        # a threaded dot product splits its sum)
         params = {"kind": "hadamard", "p": 12}
         config = ExperimentConfig(model="ar1", model_params=params, n=100_000,
                                   replications=1, methods=("uis",), regions=(),
@@ -138,8 +135,7 @@ class TestMinUnivariateEss:
         harness = run_replications(config).records[0]["methods"]["uis"]["ess"]
         simulate, _ = build("ar1", params)
         chain, _ = simulate(config.n, replication_stream(1, 0))
-        with single_threaded_blas():
-            assert min(univariate_ess_components(chain)) == harness
+        assert min(univariate_ess_components(chain)) == harness
 
     def test_degenerate_component_excluded_with_warning(self):
         rng = np.random.default_rng(32)

@@ -17,7 +17,6 @@ from chainvar import (
     uis,
     uis_components,
 )
-from chainvar import estimators
 from chainvar.symmat import signed_logdet, signed_logdet_greater
 
 
@@ -154,27 +153,7 @@ class TestMisadj:
                 assert adj.logdet >= base.logdet
 
 
-class TestSharedScan:
-    def test_misadj_reuses_the_mis_scan(self, monkeypatch):
-        chain = ar_like(np.random.default_rng(25), 400, 3)
-        fresh = misadj(chain)
-        pairs = LagPairSequence(chain)
-        base = mis(pairs)
-        monkeypatch.setattr(estimators, "_scan", lambda pairs: pytest.fail("scanned twice"))
-        adj = misadj(pairs)
-        assert (adj.s_n, adj.t_n) == (base.s_n, base.t_n) == (fresh.s_n, fresh.t_n)
-        np.testing.assert_array_equal(adj.sigma, fresh.sigma)
-        np.testing.assert_array_equal(mis(pairs).sigma, base.sigma)
-
-    def test_a_failed_scan_fails_again_with_the_same_message(self, monkeypatch):
-        pairs = LagPairSequence(ar_like(np.random.default_rng(26), 6, 4))
-        with pytest.raises(NoPositiveDefinitePartialSum) as first:
-            mis(pairs)
-        monkeypatch.setattr(estimators, "_scan", lambda pairs: pytest.fail("scanned twice"))
-        with pytest.raises(NoPositiveDefinitePartialSum) as second:
-            misadj(pairs)
-        assert str(second.value) == str(first.value)
-
+class TestSharedSpectrum:
     def test_estimates_carry_the_spectrum_of_sigma(self):
         pairs = LagPairSequence(ar_like(np.random.default_rng(27), 400, 3))
         for method in (mk, mis, misadj):
