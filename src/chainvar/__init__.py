@@ -6,7 +6,7 @@ sample size and confidence regions from it, and ships seeded samplers
 plus a replication harness for benchmarking the estimators.
 """
 
-from .autocov import LagPairSequence, autocov
+from .autocov import LagPairSequence, MomentOverflowError, autocov
 from .chain import Chain, ChainFormatError, NonFiniteValueError, load_chain, save_chain
 from .diagnostics import (
     Region,
@@ -72,7 +72,7 @@ __all__ = [
     "Chain", "ChainFormatError", "NonFiniteValueError", "load_chain", "save_chain",
     "Spectrum", "eigen_sym", "is_pd", "logdet_pd", "positive_part", "symmetrize",
     "NotPositiveDefiniteError",
-    "autocov", "LagPairSequence",
+    "autocov", "LagPairSequence", "MomentOverflowError",
     "uis", "uis_components", "mis", "misadj", "mk", "MvEstimate", "UvEstimate",
     "NoPositiveDefinitePartialSum",
     "chisq_quantile", "normal_quantile", "sample_cov", "ess",

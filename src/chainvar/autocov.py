@@ -10,6 +10,14 @@ from .chain import Chain
 from .symmat import eigenvalues_sym, symmetrize
 
 
+class MomentOverflowError(ValueError):
+    """A chain's mean or lag-0 autocovariance overflows double precision.
+
+    Its values are finite, but too large in magnitude for their products
+    (or their sum) to be represented; rescale the chain.
+    """
+
+
 def _centered(chain: Chain) -> np.ndarray:
     return chain.values - chain.mean
 
@@ -54,6 +62,9 @@ class LagPairSequence:
     ``constant_columns`` lists, in ascending order, the columns whose
     centered values all coincide.  Each is a null direction of every lag
     matrix, so no truncated sum of such a chain is positive definite.
+    A chain whose mean or lag-0 autocovariance overflows raises
+    :class:`MomentOverflowError`, naming the first such column, before
+    any pair is built.
 
     All matrices returned are exactly symmetric.  Their eigenvalues are
     computed at most once each, on request.  Materialization is not
@@ -64,14 +75,30 @@ class LagPairSequence:
         self.n = chain.n
         self.p = chain.p
         self.max_index = chain.n // 2 - 1  # largest pair index, floor(n/2 - 1)
-        self._centered = _centered(chain)
-        g0 = self._gamma0 = _locked(symmetrize(_cross_lag(self._centered, 0)))
+        # finite values can still overflow their sum, their centering or
+        # their squares; that is reported below by column, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = chain.mean
+            if not np.isfinite(mean).all():
+                j = int(np.argmin(np.isfinite(mean)))
+                raise MomentOverflowError(f"the mean of column c{j + 1} overflows; "
+                                          f"rescale the chain")
+            self._centered = _centered(chain)
+            g0 = symmetrize(_cross_lag(self._centered, 0))
+        if not np.isfinite(g0).all():
+            # by Cauchy-Schwarz a cross product overflows only where one of
+            # its two variances does, so the diagonal names the column
+            j = int(np.argmin(np.isfinite(np.diagonal(g0))))
+            raise MomentOverflowError(f"the variance of column c{j + 1} overflows; "
+                                      f"rescale the chain")
+        self._gamma0 = _locked(g0)
         # A constant column's centered value is the rounding error of its
         # mean, within n * eps * |mean| (the sequential-summation bound;
         # pairwise summation does better), so only columns with a variance
-        # that small need the exact zero-range test.
-        bound = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(chain.mean)
-        suspects = np.flatnonzero(np.diagonal(g0) <= bound * bound)
+        # that small need the exact zero-range test.  The bound is compared
+        # with the standard deviation, since its square may overflow.
+        bound = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(mean)
+        suspects = np.flatnonzero(np.sqrt(np.diagonal(g0)) <= bound)
         self.constant_columns = tuple(
             int(j) for j in suspects if np.ptp(self._centered[:, j]) == 0.0
         )

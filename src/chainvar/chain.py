@@ -27,7 +27,7 @@ def _check_finite(arr: np.ndarray) -> None:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NonFiniteValueError(
-            f"non-finite value {arr[i, j]!r} at row {int(i)}, column c{int(j) + 1}"
+            f"non-finite value {float(arr[i, j])} at row {int(i)}, column c{int(j) + 1}"
         )
 
 

@@ -65,8 +65,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _estimate_payload(chain, method: str) -> dict:
     n, p = chain.n, chain.p
     if method == "uis":
-        if p != 1:
-            raise ValueError(f"uis requires p = 1, got p = {p}")
         est = uis(chain)
         return {
             "method": "uis", "n": n, "p": p,
@@ -125,7 +123,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
             raise ValueError("cube regions are built from the uis method")
         sd = np.empty(chain.p)
         for j, est in enumerate(uis_components(chain)):
-            if est.degenerate or not est.sigma2 > 0.0:
+            if not est.usable:
                 raise ValueError(f"degenerate univariate estimate in component {j}")
             sd[j] = est.sigma2 ** 0.5
         region = cube_region(chain.mean, sd, chain.n, alpha,
@@ -146,8 +144,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
         config = ExperimentConfig.from_dict(json.load(fh))
     report = run_replications(config, workers=args.workers)
-    fmt = args.report_format or ("json" if str(args.out).endswith(".json") else "csv")
-    emit_tables(report, args.out, fmt)
+    emit_tables(report, args.out, "json" if str(args.out).endswith(".json") else "csv")
     return 0
 
 
@@ -194,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="replication harness")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--report-format", choices=("csv", "json"))
     exp.add_argument("--workers", type=int, default=1)
     exp.set_defaults(func=_cmd_experiment)
 

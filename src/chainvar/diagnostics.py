@@ -66,8 +66,7 @@ def _ess(n: int, p: int, logdet_lam: float, logdet_sigma: float) -> float:
 def _univariate_ess(n: int, lam: np.ndarray, estimates: list[UvEstimate]) -> list[float]:
     """``n * (lam_jj / sigma2_j)`` per component; NaN where the estimate is unusable."""
     g0 = np.diag(lam)
-    return [float(n * (g0[j] / est.sigma2))
-            if not est.degenerate and est.sigma2 > 0.0 else float("nan")
+    return [float(n * (g0[j] / est.sigma2)) if est.usable else float("nan")
             for j, est in enumerate(estimates)]
 
 

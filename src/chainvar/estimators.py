@@ -80,6 +80,11 @@ class UvEstimate:
     t_n: int
     degenerate: bool = False
 
+    @property
+    def usable(self) -> bool:
+        """Whether the estimate can scale an interval: not degenerate, and positive."""
+        return not self.degenerate and self.sigma2 > 0.0
+
 
 def _as_pairs(chain: ChainOrPairs) -> LagPairSequence:
     if isinstance(chain, LagPairSequence):
@@ -203,9 +208,9 @@ def uis(chain: ChainOrPairs) -> UvEstimate:
     case (the very first pair is already non-positive) falls back to the
     lag-0 autocovariance with ``t_n == -1``.
     """
+    if chain.p != 1:
+        raise ValueError(f"uis requires a univariate chain, got p={chain.p}")
     pairs = _as_pairs(chain)
-    if pairs.p != 1:
-        raise ValueError(f"uis requires a univariate chain, got p={pairs.p}")
     _require_pairs_available(pairs, "uis")
     if not float(pairs.pair(0)[0, 0]) > 0.0:
         return UvEstimate(float(pairs.gamma0[0, 0]), -1, degenerate=True)

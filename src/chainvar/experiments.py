@@ -7,6 +7,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from ._blas import pin_single_thread, single_threaded_blas
 from .autocov import LagPairSequence
 from .chain import Chain
-from .diagnostics import _ellipsoid_region, _ess, _univariate_ess, cube_region
+from .diagnostics import Region, _ellipsoid_region, _ess, _univariate_ess, cube_region
 from .estimators import METHODS, MULTIVARIATE, NoPositiveDefinitePartialSum, uis_components
 from .samplers import MODELS, build, replication_stream, truth_stream
 from .symmat import NotPositiveDefiniteError, logdet_from_eigenvalues
@@ -128,10 +129,13 @@ def _resolve_truth(config: ExperimentConfig, simulate,
     chain, _ = simulate(n_truth, truth_stream(config.master_seed))
     se = np.empty(chain.p)
     for j, est in enumerate(uis_components(chain)):
-        var = est.sigma2 if not est.degenerate and est.sigma2 > 0.0 else float(
-            chain.values[:, j].var())
+        var = est.sigma2 if est.usable else float(chain.values[:, j].var())
         se[j] = math.sqrt(var / n_truth)
     return chain.mean.copy(), se
+
+
+def _region_fields(region: Region, truth: np.ndarray) -> dict:
+    return {"volroot": region.volume_root, "covered": bool(region.contains(truth))}
 
 
 def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
@@ -139,28 +143,23 @@ def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
     """Simulate one replication and evaluate every requested method on it."""
     chain, _ = simulate(config.n, replication_stream(config.master_seed, index))
     pairs = LagPairSequence(chain)
-    logdet_lam = None  # log det(gamma0), taken once the first estimate needs it
-    mu = chain.mean
     alpha = 1.0 - config.level
     out: dict = {"replication": index, "methods": {}}
     for method in config.methods:
         if method not in MULTIVARIATE:
             continue
-        entry: dict = {}
         try:
             est = MULTIVARIATE[method](pairs)
             if est.degenerate:
                 raise NotPositiveDefiniteError("degenerate estimate")
-            entry.update(s_n=est.s_n, t_n=est.t_n, logdet=float(est.logdet),
-                         pd=bool(est.pd))
-            if logdet_lam is None:
-                logdet_lam = logdet_from_eigenvalues(pairs.gamma0_eigenvalues)
-            entry["ess"] = _ess(chain.n, chain.p, logdet_lam,
-                                logdet_from_eigenvalues(est.eigenvalues))
+            entry = {"s_n": est.s_n, "t_n": est.t_n, "logdet": float(est.logdet),
+                     "pd": bool(est.pd),
+                     "ess": _ess(chain.n, chain.p,
+                                 logdet_from_eigenvalues(pairs.gamma0_eigenvalues),
+                                 logdet_from_eigenvalues(est.eigenvalues))}
             if "ellipsoid" in config.regions:
-                region = _ellipsoid_region(mu, est.sigma, est.eigenvalues, chain.n, alpha)
-                entry["volroot"] = region.volume_root
-                entry["covered"] = bool(region.contains(truth))
+                region = _ellipsoid_region(chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
+                entry.update(_region_fields(region, truth))
         except (NoPositiveDefinitePartialSum, NotPositiveDefiniteError) as exc:
             entry = {"failed": f"{type(exc).__name__}: {exc}"}
         out["methods"][method] = entry
@@ -169,39 +168,30 @@ def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
     return out
 
 
+def _uis_rows(config: ExperimentConfig) -> tuple[str, ...]:
+    """The table rows of the uis method: its cube, then its Bonferroni cube if requested."""
+    return ("uis", "uis_bonferroni") if "bonferroni" in config.regions else ("uis",)
+
+
 def _univariate_entries(chain: Chain, pairs: LagPairSequence, truth: np.ndarray,
                         config: ExperimentConfig, alpha: float) -> dict:
     estimates = uis_components(chain)
-    for j, est in enumerate(estimates):
-        if est.degenerate or not est.sigma2 > 0.0:
-            failed = {"failed": f"degenerate univariate estimate in component {j}"}
-            out = {"uis": dict(failed)}
-            if "bonferroni" in config.regions:
-                out["uis_bonferroni"] = dict(failed)
-            return out
+    bad = next((j for j, est in enumerate(estimates) if not est.usable), None)
+    if bad is not None:
+        return {row: {"failed": f"degenerate univariate estimate in component {bad}"}
+                for row in _uis_rows(config)}
     sigma2 = np.array([est.sigma2 for est in estimates])
-    ess_min = min(_univariate_ess(chain.n, pairs.gamma0, estimates))
-    logdet = float(np.log(sigma2).sum())
-    base = {"ess": ess_min, "logdet": logdet}
-    out = {}
+    base = {"ess": min(_univariate_ess(chain.n, pairs.gamma0, estimates)),
+            "logdet": float(np.log(sigma2).sum())}
     sd = np.sqrt(sigma2)
-    if "cube" in config.regions:
-        region = cube_region(chain.mean, sd, chain.n, alpha, bonferroni=False)
-        out["uis"] = dict(base, volroot=region.volume_root,
-                          covered=bool(region.contains(truth)))
-    else:
-        out["uis"] = dict(base)
-    if "bonferroni" in config.regions:
-        region = cube_region(chain.mean, sd, chain.n, alpha, bonferroni=True)
-        out["uis_bonferroni"] = dict(base, volroot=region.volume_root,
-                                     covered=bool(region.contains(truth)))
+    out = {}
+    for row in _uis_rows(config):
+        bonferroni = row == "uis_bonferroni"
+        out[row] = entry = dict(base)
+        if bonferroni or "cube" in config.regions:
+            region = cube_region(chain.mean, sd, chain.n, alpha, bonferroni=bonferroni)
+            entry.update(_region_fields(region, truth))
     return out
-
-
-def _worker(config_dict: dict, truth: list, index: int) -> dict:
-    config = ExperimentConfig.from_dict(config_dict)
-    simulate, _ = build(config.model, config.model_params)
-    return _replication_record(config, simulate, np.asarray(truth), index)
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -241,15 +231,8 @@ def _aggregate(config: ExperimentConfig, records: list[dict]) -> list[MethodStat
 
 
 def _table_methods(config: ExperimentConfig) -> list[str]:
-    names = []
-    for m in config.methods:
-        if m == "uis":
-            names.append("uis")
-            if "bonferroni" in config.regions:
-                names.append("uis_bonferroni")
-        else:
-            names.append(m)
-    return names
+    return [row for m in config.methods
+            for row in (_uis_rows(config) if m == "uis" else (m,))]
 
 
 def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationReport:
@@ -275,23 +258,15 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     with single_threaded_blas():
         simulate, analytic = build(config.model, config.model_params)
         truth, truth_se = _resolve_truth(config, simulate, analytic)
+        record = partial(_replication_record, config, simulate, truth)
         if workers == 1 or config.replications == 1:
-            records = [
-                _replication_record(config, simulate, truth, r)
-                for r in range(config.replications)
-            ]
+            records = list(map(record, range(config.replications)))
         else:
-            config_dict = config.to_dict()
-            truth_list = [float(v) for v in truth]
             # forked workers inherit one thread; the initializer covers
             # start methods that import numpy afresh
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=pin_single_thread) as pool:
-                futures = [
-                    pool.submit(_worker, config_dict, truth_list, r)
-                    for r in range(config.replications)
-                ]
-                records = [fut.result() for fut in futures]
+                records = list(pool.map(record, range(config.replications)))
     table = _aggregate(config, records)
     return ReplicationReport(config, truth, truth_se, table, records)
 

@@ -126,7 +126,7 @@ def test_reports_identical_across_blas_threads_and_workers(tmp_path):
     src = str(Path(chainvar.__file__).resolve().parents[1])
     reports = {}
     for threads, workers, start in [(1, 1, "fork"), (1, 2, "fork"), (2, 1, "fork"),
-                                    (2, 2, "fork"), (2, 2, "spawn")]:
+                                    (2, 2, "fork"), (2, 2, "spawn"), (2, 2, "forkserver")]:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                    OMP_NUM_THREADS=str(threads),
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chainvar import (
     Chain,
     LagPairSequence,
+    MomentOverflowError,
     NoPositiveDefinitePartialSum,
     ar1_simulate,
     Ar1Params,
@@ -291,6 +292,19 @@ class TestUnitsDoNotMatter:
                 assert (a.s_n, a.t_n, a.pd) == (b.s_n, b.t_n, b.pd)
                 assert np.array_equal(b.sigma, a.sigma * 4.0**k)
 
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_chains, k=st.integers(511, 1020))
+    def test_overflowing_units_raise_a_named_error(self, spec, k):
+        # the values stay finite, but gamma0 overflows at every n drawn (its
+        # sum of squares exceeds 4 * 4**511), and near k = 1020 the sum
+        # behind the mean overflows as well
+        seed, n, p = spec
+        huge = Chain(ar_like(np.random.default_rng(seed), n, p).values * 2.0**k)
+        for method in (mis, misadj, mk, uis_components, lambda chain: uis(chain.column(0))):
+            with pytest.raises(MomentOverflowError, match=r"of column c\d+ overflows"):
+                method(huge)
+
     def test_tiny_units_estimate(self):
         # the former absolute floor rejected every truncated sum of this
         # chain once its values were of order 1e-7
@@ -305,8 +319,10 @@ class TestUnitsDoNotMatter:
 
 
 class TestDegenerateColumnsFailFast:
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=40, deadline=None)
-    @given(spec=_chains, kind=st.sampled_from(["collinear", "near-collinear", "constant"]),
+    @given(spec=_chains,
+           kind=st.sampled_from(["collinear", "near-collinear", "constant", "huge constant"]),
            position=st.integers(0, 4), coef=st.tuples(st.floats(0.25, 4.0), st.floats(-4.0, 4.0)),
            noise=st.floats(0.0, 1e-8))
     def test_degenerate_column_raises_before_any_pair(self, spec, kind, position, coef,
@@ -316,6 +332,8 @@ class TestDegenerateColumnsFailFast:
         x = ar_like(rng, n, p).values
         if kind == "constant":
             col = np.full(n, coef[1])
+        elif kind == "huge constant":
+            col = np.full(n, 2.0**660)  # variance 0; the constant-column bound is ~2**620
         else:
             col = coef[0] * x[:, 0] + coef[1] * x[:, -1]
             if kind == "near-collinear":

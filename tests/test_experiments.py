@@ -177,9 +177,14 @@ class TestDeterminism:
             emit_tables(run_replications(scalar_config()), second, fmt)
             assert first.read_bytes() == second.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = run_replications(scalar_config(replications=6), workers=1)
-        parallel = run_replications(scalar_config(replications=6), workers=2)
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"model": "logistic", "model_params": {"step_sd": 0.3}, "n": 1_500,
+         "truth": {"kind": "external", "vector": [0.0] * 5}},
+    ], ids=["ar1", "logistic"])
+    def test_parallel_matches_serial(self, tmp_path, overrides):
+        serial = run_replications(scalar_config(replications=6, **overrides), workers=1)
+        parallel = run_replications(scalar_config(replications=6, **overrides), workers=2)
         a, b = tmp_path / "s.json", tmp_path / "p.json"
         emit_tables(serial, a, "json")
         emit_tables(parallel, b, "json")

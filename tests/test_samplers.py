@@ -2,6 +2,7 @@
 random walk sampler, and the random effects Gibbs sampler."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from chainvar import (
     simulate_dataset,
     uis,
 )
-from chainvar.samplers import random_effects
+from chainvar.samplers import MODELS, build, random_effects
 from chainvar.samplers.ar1 import _modes
 from chainvar.samplers.logistic import generate_logit_data, log_prior
 from chainvar.samplers.random_effects import (
@@ -466,3 +467,18 @@ class TestGibbsSampler:
             gibbs_random_effects([1.0], n=0, seed=1)
         with pytest.raises(ValueError):
             RandomEffectsHyper(a1=-1.0)
+
+
+# one small parameter set per built-in model
+_BUILD_PARAMS = {"ar1": {"kind": "hadamard", "p": 4}, "logistic": {}, "ranef": {"K": 2}}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_built_simulator_pickles(model):
+    # a process pool runs the parent's simulator, so it must survive pickling
+    simulate, _ = build(model, _BUILD_PARAMS[model])
+    again = pickle.loads(pickle.dumps(simulate))
+    chain, stats = simulate(500, 3)
+    chain_again, stats_again = again(500, 3)
+    assert np.array_equal(chain_again.values, chain.values)
+    assert stats_again == stats
