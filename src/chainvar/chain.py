@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -143,19 +144,27 @@ def load_chain(path, format: str = "bin") -> Chain:
 
 
 def _load_bin(path: Path) -> Chain:
-    raw = path.read_bytes()
-    if len(raw) < _HEADER_BYTES:
-        raise ChainFormatError(f"{path}: file shorter than the 16-byte header")
-    n, p = (int(v) for v in np.frombuffer(raw[:_HEADER_BYTES], dtype=_HEADER_DTYPE))
-    expected = _HEADER_BYTES + 8 * n * p
-    if len(raw) != expected:
-        raise ChainFormatError(
-            f"{path}: header declares n={n}, p={p} ({expected} bytes), "
-            f"file has {len(raw)} bytes"
-        )
-    if n < 1 or p < 1:
-        raise ChainFormatError(f"{path}: header declares empty shape n={n}, p={p}")
-    values = np.frombuffer(raw, dtype=_VALUE_DTYPE, offset=_HEADER_BYTES)
+    # the header is checked against the file's size before the payload is
+    # read, so a truncated or oversize file fails without a read of it;
+    # unbuffered, the payload is read straight into one bytes object
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER_BYTES)
+        if len(header) < _HEADER_BYTES:
+            raise ChainFormatError(f"{path}: file shorter than the 16-byte header")
+        n, p = (int(v) for v in np.frombuffer(header, dtype=_HEADER_DTYPE))
+        expected = _HEADER_BYTES + 8 * n * p
+        if size != expected:
+            raise ChainFormatError(
+                f"{path}: header declares n={n}, p={p} ({expected} bytes), "
+                f"file has {size} bytes"
+            )
+        if n < 1 or p < 1:
+            raise ChainFormatError(f"{path}: header declares empty shape n={n}, p={p}")
+        payload = fh.read()
+    if len(payload) != size - _HEADER_BYTES:
+        raise ChainFormatError(f"{path}: file changed size while it was read")
+    values = np.frombuffer(payload, dtype=_VALUE_DTYPE)
     return Chain._adopt(values.reshape(n, p))
 
 

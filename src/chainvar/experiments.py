@@ -6,9 +6,11 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -134,17 +136,26 @@ def _resolve_truth(config: ExperimentConfig, simulate,
     return chain.mean.copy(), se
 
 
-def _region_fields(region: Region, truth: np.ndarray) -> dict:
-    return {"volroot": region.volume_root, "covered": bool(region.contains(truth))}
+def _truth_task(config: ExperimentConfig, simulate,
+                analytic: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_resolve_truth` as a task: this function is what gets pickled,
+    so a wrapper bound to the name ``_resolve_truth`` (a profiler's, say)
+    runs in the worker and never has to pickle itself."""
+    return _resolve_truth(config, simulate, analytic)
 
 
-def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
-                        index: int) -> dict:
-    """Simulate one replication and evaluate every requested method on it."""
+def _replication_record(config: ExperimentConfig, simulate,
+                        index: int) -> tuple[dict, dict[str, Region]]:
+    """Simulate one replication and evaluate every requested method on it.
+
+    Returns the record and the confidence region of each table row that
+    built one; :func:`_with_coverage` later adds whether it covers the truth.
+    """
     chain, _ = simulate(config.n, replication_stream(config.master_seed, index))
     pairs = LagPairSequence(chain)
     alpha = 1.0 - config.level
     out: dict = {"replication": index, "methods": {}}
+    regions: dict[str, Region] = {}
     for method in config.methods:
         if method not in MULTIVARIATE:
             continue
@@ -158,14 +169,22 @@ def _replication_record(config: ExperimentConfig, simulate, truth: np.ndarray,
                                  logdet_from_eigenvalues(pairs.gamma0_eigenvalues),
                                  logdet_from_eigenvalues(est.eigenvalues))}
             if "ellipsoid" in config.regions:
-                region = _ellipsoid_region(chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
-                entry.update(_region_fields(region, truth))
+                regions[method] = region = _ellipsoid_region(
+                    chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
+                entry["volroot"] = region.volume_root
         except (NoPositiveDefinitePartialSum, NotPositiveDefiniteError) as exc:
             entry = {"failed": f"{type(exc).__name__}: {exc}"}
         out["methods"][method] = entry
     if "uis" in config.methods:
-        out["methods"].update(_univariate_entries(chain, pairs, truth, config, alpha))
-    return out
+        out["methods"].update(_univariate_entries(chain, pairs, config, alpha, regions))
+    return out, regions
+
+
+def _with_coverage(record: dict, regions: dict[str, Region], truth: np.ndarray) -> dict:
+    """The record with ``covered``, the last field of each row that has a region."""
+    for row, region in regions.items():
+        record["methods"][row]["covered"] = bool(region.contains(truth))
+    return record
 
 
 def _uis_rows(config: ExperimentConfig) -> tuple[str, ...]:
@@ -173,8 +192,9 @@ def _uis_rows(config: ExperimentConfig) -> tuple[str, ...]:
     return ("uis", "uis_bonferroni") if "bonferroni" in config.regions else ("uis",)
 
 
-def _univariate_entries(chain: Chain, pairs: LagPairSequence, truth: np.ndarray,
-                        config: ExperimentConfig, alpha: float) -> dict:
+def _univariate_entries(chain: Chain, pairs: LagPairSequence, config: ExperimentConfig,
+                        alpha: float, regions: dict[str, Region]) -> dict:
+    """The uis rows of a record; each cube built goes into ``regions``."""
     estimates = uis_components(chain)
     bad = next((j for j, est in enumerate(estimates) if not est.usable), None)
     if bad is not None:
@@ -189,8 +209,9 @@ def _univariate_entries(chain: Chain, pairs: LagPairSequence, truth: np.ndarray,
         bonferroni = row == "uis_bonferroni"
         out[row] = entry = dict(base)
         if bonferroni or "cube" in config.regions:
-            region = cube_region(chain.mean, sd, chain.n, alpha, bonferroni=bonferroni)
-            entry.update(_region_fields(region, truth))
+            regions[row] = region = cube_region(chain.mean, sd, chain.n, alpha,
+                                                bonferroni=bonferroni)
+            entry["volroot"] = region.volume_root
     return out
 
 
@@ -235,6 +256,27 @@ def _table_methods(config: ExperimentConfig) -> list[str]:
             for row in (_uis_rows(config) if m == "uis" else (m,))]
 
 
+@contextmanager
+def _task_runner(workers: int):
+    """Yields ``submit(fn, *args)``, which returns an object with ``result()``.
+
+    With one worker each call runs in this process when its result is
+    asked for; otherwise a process pool runs the calls in submission
+    order, and on leaving the block the calls not yet started are
+    cancelled, so an error does not wait for the rest of the run.
+    """
+    if workers == 1:
+        yield lambda fn, *args: SimpleNamespace(result=partial(fn, *args))
+        return
+    # forked workers inherit one thread; the initializer covers start
+    # methods that import numpy afresh
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=pin_single_thread)
+    try:
+        yield pool.submit
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationReport:
     """Run the configured replications and aggregate them into a report.
 
@@ -243,6 +285,14 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     Replications may run in parallel (``workers`` processes); records are
     always reduced in replication order, so the report does not depend on
     the worker count.
+
+    The truth is the first task and each replication one more.  A
+    replication returns its record and its confidence regions, and the
+    record gets its ``covered`` flags here, as soon as both it and the
+    truth are in.  So with ``workers >= 2`` a long-run truth runs in one
+    worker while the others work through the replications, and an error,
+    such as a truth of the wrong length, stops the run at the first
+    record instead of after the last.
 
     The whole run uses one OpenBLAS thread per process, and the caller's
     thread counts are restored on return, so the report does not depend
@@ -255,18 +305,14 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    with single_threaded_blas():
+    with (single_threaded_blas(),
+          _task_runner(workers if config.replications > 1 else 1) as submit):
         simulate, analytic = build(config.model, config.model_params)
-        truth, truth_se = _resolve_truth(config, simulate, analytic)
-        record = partial(_replication_record, config, simulate, truth)
-        if workers == 1 or config.replications == 1:
-            records = list(map(record, range(config.replications)))
-        else:
-            # forked workers inherit one thread; the initializer covers
-            # start methods that import numpy afresh
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=pin_single_thread) as pool:
-                records = list(pool.map(record, range(config.replications)))
+        truth_task = submit(_truth_task, config, simulate, analytic)
+        tasks = [submit(_replication_record, config, simulate, index)
+                 for index in range(config.replications)]
+        truth, truth_se = truth_task.result()
+        records = [_with_coverage(*task.result(), truth) for task in tasks]
     table = _aggregate(config, records)
     return ReplicationReport(config, truth, truth_se, table, records)
 

@@ -1,7 +1,13 @@
 """Chain validation and csv/binary persistence round trips."""
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainvar import Chain, ChainFormatError, NonFiniteValueError, load_chain, save_chain
 
@@ -76,6 +82,58 @@ def test_bin_truncated_header_rejected(tmp_path):
     path.write_bytes(b"\x01\x02\x03")
     with pytest.raises(ChainFormatError):
         load_chain(path, "bin")
+
+
+def _load_bin_bytes(n: int, p: int, payload: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        path.write_bytes(np.array([n, p], dtype="<u8").tobytes() + payload)
+        return load_chain(path, "bin")
+
+
+_shapes = st.tuples(st.integers(1, 40), st.integers(1, 6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=_shapes, cut=st.integers(1, 8 * 40 * 6))
+def test_bin_truncated_payload_rejected(shape, cut):
+    n, p = shape
+    payload = bytes(8 * n * p)[:max(0, 8 * n * p - cut)]
+    with pytest.raises(ChainFormatError, match=rf"header declares n={n}, p={p}"):
+        _load_bin_bytes(n, p, payload)
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=_shapes, extra=st.integers(1, 64))
+def test_bin_oversize_file_rejected(shape, extra):
+    n, p = shape
+    with pytest.raises(ChainFormatError, match=rf"header declares n={n}, p={p}"):
+        _load_bin_bytes(n, p, bytes(8 * n * p + extra))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2**32, 2**64 - 1), p=st.integers(2**32, 2**64 - 1),
+       size=st.integers(0, 64))
+def test_bin_header_whose_size_overflows_rejected(n, p, size):
+    # n * p >= 2**64, so the declared payload size overflows 64 bits
+    with pytest.raises(ChainFormatError, match=rf"header declares n={n}, p={p}"):
+        _load_bin_bytes(n, p, bytes(size))
+
+
+def test_bad_bin_fails_before_reading_the_payload(tmp_path):
+    # a sparse 64 MiB file whose header declares one value
+    path = tmp_path / "c.bin"
+    with open(path, "wb") as fh:
+        fh.write(np.array([1, 1], dtype="<u8").tobytes())
+        fh.truncate(2**26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainFormatError, match=f"file has {2**26} bytes"):
+            load_chain(path, "bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_csv_header_must_match_convention(tmp_path):

@@ -18,7 +18,7 @@ from chainvar import (
     uis,
     uis_components,
 )
-from chainvar.symmat import signed_logdet, signed_logdet_greater
+from chainvar.symmat import pd_from_eigenvalues, signed_logdet, signed_logdet_greater
 
 
 def ar_like(rng, n, p, coef=0.7):
@@ -344,6 +344,62 @@ class TestDegenerateColumnsFailFast:
             with pytest.raises(NoPositiveDefinitePartialSum):
                 method(pairs)
             assert len(pairs._pairs) == 0
+
+
+def _check_too_few_rows(chain):
+    """mis, misadj and mk on a chain with few rows for its width.
+
+    A truncated sum is C^T B C / n for the centred chain C and a 0/1 band
+    B; on centred vectors every such band has at most 2(n - 1)/3 positive
+    eigenvalues (checked for each n <= 64), so a wider chain has no
+    positive definite truncated sum, and at p >= n gamma0 is singular too.
+    The one exception is rounding: for even n the last truncated sum
+    spans every lag, where the lags of a centred chain add up to the zero
+    matrix, and the relative positive-definite test can pass what
+    rounding leaves of it.
+    """
+    n, p = chain.n, chain.p
+    possible = 3 * p <= 2 * (n - 1)
+    for method in (mis, misadj):
+        pairs = LagPairSequence(chain)
+        try:
+            est = method(pairs)
+        except NoPositiveDefinitePartialSum:
+            assert len(pairs._pairs) <= (0 if p >= n else n // 2)
+            continue
+        assert 0 <= est.s_n <= est.t_n <= pairs.max_index
+        assert pd_from_eigenvalues(pairs.partial_sum_eigenvalues(est.s_n))
+        if not possible:
+            assert n % 2 == 0 and est.s_n == pairs.max_index
+    est = mk(chain)
+    assert -1 <= est.t_n <= pairs.max_index
+    if p >= n:
+        assert est.degenerate and not est.pd
+    elif not possible and est.pd:
+        assert est.degenerate or (n % 2 == 0 and est.t_n == pairs.max_index)
+
+
+class TestShortAndWideChains:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 4),
+           coef=st.sampled_from([0.0, 0.7, -0.5]))
+    def test_fewer_than_four_rows(self, seed, n, p, coef):
+        chain = ar_like(np.random.default_rng(seed), n, p, coef)
+        if n == 1:
+            for method in (mis, misadj, mk, uis_components):
+                with pytest.raises(ValueError, match="needs n >= 2"):
+                    method(chain)
+            return
+        for est in uis_components(chain):
+            assert est.t_n in (-1, 0) and np.isfinite(est.sigma2)
+        _check_too_few_rows(chain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 64),
+           coef=st.sampled_from([0.0, 0.7, -0.5, 0.95]), data=st.data())
+    def test_at_least_half_as_many_columns_as_rows(self, seed, n, coef, data):
+        p = data.draw(st.integers(-(-n // 2), n + 2), label="p")
+        _check_too_few_rows(ar_like(np.random.default_rng(seed), n, p, coef))
 
 
 class TestEquivariance:

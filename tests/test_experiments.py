@@ -1,7 +1,9 @@
 """Replication harness: determinism, aggregation accounting, and table emission."""
 
+import importlib
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -181,7 +183,9 @@ class TestDeterminism:
         {},
         {"model": "logistic", "model_params": {"step_sd": 0.3}, "n": 1_500,
          "truth": {"kind": "external", "vector": [0.0] * 5}},
-    ], ids=["ar1", "logistic"])
+        {"model": "ranef", "model_params": {"K": 2, "data_seed": 0}, "n": 2_000,
+         "truth": {"kind": "long-run", "n_truth": 5_000}},
+    ], ids=["ar1", "logistic", "ranef-long-run"])
     def test_parallel_matches_serial(self, tmp_path, overrides):
         serial = run_replications(scalar_config(replications=6, **overrides), workers=1)
         parallel = run_replications(scalar_config(replications=6, **overrides), workers=2)
@@ -189,6 +193,51 @@ class TestDeterminism:
         emit_tables(serial, a, "json")
         emit_tables(parallel, b, "json")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOverlap:
+    @pytest.mark.parametrize("workers, parent_rows", [(1, [5_000, 2_000, 2_000, 2_000]),
+                                                      (2, [])])
+    def test_long_run_truth_runs_in_a_worker(self, monkeypatch, workers, parent_rows):
+        # one worker simulates the truth, then each replication, in this
+        # process; with a pool this process simulates nothing (the workers'
+        # appends stay in the workers)
+        registry = importlib.import_module("chainvar.samplers.registry")
+        real = registry.gibbs_random_effects
+        rows = []
+
+        def recording(y, hyper, n, seed):
+            rows.append(n)
+            return real(y, hyper, n, seed)
+
+        monkeypatch.setattr(registry, "gibbs_random_effects", recording)
+        config = ExperimentConfig(model="ranef", model_params={"K": 2, "data_seed": 0},
+                                  n=2_000, replications=3, methods=("mis",),
+                                  regions=("ellipsoid",),
+                                  truth={"kind": "long-run", "n_truth": 5_000}, master_seed=5)
+        report = run_replications(config, workers=workers)
+        assert rows == parent_rows
+        assert report.truth_se is not None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("truth, match", [
+        ({"kind": "external", "vector": [0.0] * 11}, r"point shape \(11,\) != center shape"),
+        ({"kind": "long-run", "n_truth": 1}, "uis needs n >= 2"),
+    ], ids=["wrong-length-truth", "truth-raises"])
+    def test_an_error_stops_the_run_early(self, truth, match, workers):
+        # 100 replications of about 0.1 s: the error must surface within a
+        # quarter of the time the whole run would take on these workers
+        config = ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 12},
+                                  n=100_000, replications=100, methods=("mis",),
+                                  regions=("ellipsoid",), truth=truth, master_seed=7)
+        simulate, _ = build(config.model, config.model_params)
+        start = time.perf_counter()
+        experiments._replication_record(config, simulate, 0)
+        full_run = config.replications * (time.perf_counter() - start) / workers
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            run_replications(config, workers=workers)
+        assert time.perf_counter() - start < full_run / 4
 
 
 def test_one_spectrum_per_matrix_per_replication(monkeypatch):
@@ -208,8 +257,8 @@ def test_one_spectrum_per_matrix_per_replication(monkeypatch):
             monkeypatch.setattr(module, "eigenvalues_sym", counting)
     config = ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 12},
                               n=20_000, replications=1, master_seed=1)
-    simulate, truth = build(config.model, config.model_params)
-    record = experiments._replication_record(config, simulate, truth, 0)["methods"]
+    simulate, _ = build(config.model, config.model_params)
+    record = experiments._replication_record(config, simulate, 0)[0]["methods"]
     assert len(decomposed) == len(set(decomposed))
     mk_tested, mis_tested = record["mk"]["t_n"] + 2, record["mis"]["t_n"] + 2
     assert mk_tested + mis_tested <= 10  # no scan reached the end of the chain
