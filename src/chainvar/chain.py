@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ _VALUE_DTYPE = np.dtype("<f8")
 _HEADER_BYTES = 16
 
 FORMATS = ("csv", "bin")
+
+# the start of a line that is neither empty nor a "#" comment
+_DATA_LINE = re.compile(r"^(?!#|\r?$)", re.MULTILINE)
 
 
 class ChainFormatError(ValueError):
@@ -121,9 +125,7 @@ def save_chain(chain: Chain, path, format: str = "bin") -> None:
         payload = np.ascontiguousarray(chain.values, dtype=_VALUE_DTYPE).tobytes()
         path.write_bytes(header + payload)
     elif format == "csv":
-        header = ",".join(f"c{j + 1}" for j in range(chain.p))
-        np.savetxt(path, chain.values, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
+        _save_csv(chain.values, path)
     else:
         raise ValueError(f"unknown chain format {format!r}; expected one of {FORMATS}")
 
@@ -168,6 +170,46 @@ def _load_bin(path: Path) -> Chain:
     return Chain._adopt(values.reshape(n, p))
 
 
+def _save_csv(values: np.ndarray, path: Path) -> None:
+    # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, with each run
+    # of repeated rows (rejected Metropolis proposals) formatted once; rows
+    # are compared by bit pattern, so 0.0 and -0.0 stay apart
+    bits = values.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1))))
+    lengths = np.diff(starts, append=len(values))
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(f"c{j + 1}" for j in range(values.shape[1])) + "\n")
+        for first, length in zip(values[starts].tolist(), lengths.tolist()):
+            fh.write(row % tuple(first) * length)
+
+
+def _run_lines(fh, lengths: list[int]):
+    """Yield the first line of each run of equal lines of ``fh``, appending
+    the run's length to ``lengths``.
+
+    Raises ValueError, before np.loadtxt sees a row, on what a line-by-line
+    parse could read differently from one parse of the whole body: a first
+    line that is blank or a comment (a body may then hold no data at all),
+    and a line that ends at a lone carriage return, which loadtxt does not
+    take for the end of a line.
+    """
+    prev, count = next(fh, ""), 1
+    if not prev.strip() or prev[0] == "#":
+        raise ValueError("blank or comment first line")
+    for line in fh:
+        if prev[-1] == "\r":
+            raise ValueError("line ends at a lone carriage return")
+        if line == prev:
+            count += 1
+        else:
+            lengths.append(count)
+            yield prev
+            prev, count = line, 1
+    lengths.append(count)
+    yield prev
+
+
 def _load_csv(path: Path) -> Chain:
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
@@ -178,15 +220,30 @@ def _load_csv(path: Path) -> Chain:
                 f"{path}: expected header 'c1,...,cp', got {header!r}"
             )
         p = len(names)
-        body = fh.read()
-        if not body.strip():
-            raise ChainFormatError(f"{path}: no data rows")
+        # each run of repeated rows is parsed once, streamed from the file
+        lengths: list[int] = []
         try:
-            values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ChainFormatError(f"{path}: malformed csv body: {exc}") from exc
-    if values.size == 0:
-        raise ChainFormatError(f"{path}: no data rows")
+            values = np.loadtxt(_run_lines(fh, lengths), delimiter=",", ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and len(values) == len(lengths):
+            if sum(lengths) > len(lengths):
+                values = np.repeat(values, lengths, axis=0)
+        else:
+            # an error, or blank or comment lines that left fewer rows than
+            # runs: the whole body is parsed as one stream, so values and
+            # messages (loadtxt's row numbers, a decoding error's byte
+            # position) are those of a plain read and parse
+            fh.seek(0)
+            fh.readline()
+            body = fh.read()
+            # loadtxt reads no row from an empty line or a "#" comment line
+            if not body.strip() or _DATA_LINE.search(body) is None:
+                raise ChainFormatError(f"{path}: no data rows")
+            try:
+                values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ChainFormatError(f"{path}: malformed csv body: {exc}") from exc
     if values.shape[1] != p:
         raise ChainFormatError(
             f"{path}: header declares {p} columns, data has {values.shape[1]}"

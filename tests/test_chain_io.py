@@ -1,7 +1,9 @@
 """Chain validation and csv/binary persistence round trips."""
 
+import locale
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,137 @@ def test_csv_empty_body_rejected(tmp_path):
     path.write_text("c1,c2\n")
     with pytest.raises(ChainFormatError):
         load_chain(path, "csv")
+
+
+# Values and messages of a single np.loadtxt over the whole csv body, the
+# reader before runs of repeated rows were parsed once; "{path}" stands for
+# the file's path.  Each case makes the run-length reader fall back to that
+# parse.
+_WHOLE_BODY_OUTCOMES = {
+    "blank lines between rows": (
+        "c1,c2\n1,2\n\n1,2\n3,4\n\n\n3,4\n",
+        [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]),
+    "blank first line": ("c1,c2\n\n1,2\n1,2\n", [[1.0, 2.0], [1.0, 2.0]]),
+    "whole-line and inline comments": (
+        "c1,c2\n# whole line\n1,2\n1,2 # inline\n1,2\n#another\n3,4#x\n3,4\n",
+        [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]),
+    "malformed value in a run": (
+        "c1,c2\n1,2\n1,2\n1,x\n1,2\n1,2\n",
+        "{path}: malformed csv body: could not convert string 'x' to float64 "
+        "at row 2, column 2."),
+    "short ragged row in a run": (
+        "c1,c2\n1,2\n1,2\n1\n1,2\n1,2\n",
+        "{path}: malformed csv body: the number of columns changed from 2 to 1 "
+        "at row 3; use `usecols` to select a subset and avoid this error"),
+    "long ragged row in a run": (
+        "c1,c2\n1,2\n1,2,3\n1,2\n",
+        "{path}: malformed csv body: the number of columns changed from 2 to 3 "
+        "at row 2; use `usecols` to select a subset and avoid this error"),
+    "run of lines ending at a lone carriage return": (
+        "c1,c2\n1,2\r1,2\r1,2\n",
+        "{path}: malformed csv body: Found an unquoted embedded newline within "
+        "a single line of input.  This is currently not supported."),
+    "whitespace-only body": ("c1,c2\n  \n", "{path}: no data rows"),
+}
+
+# CRLF files take the run-length path itself
+_CRLF = ("c1,c2\r\n1,2\r\n1,2\r\n-0,0\r\n0,0\r\n0,0\r\n",
+         [[1.0, 2.0], [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("text, outcome", [*_WHOLE_BODY_OUTCOMES.values(), _CRLF],
+                         ids=[*_WHOLE_BODY_OUTCOMES, "crlf line endings"])
+def test_csv_edge_cases_load_as_one_whole_body_parse(tmp_path, text, outcome):
+    path = tmp_path / "c.csv"
+    path.write_bytes(text.encode())
+    if isinstance(outcome, str):
+        with pytest.raises(ChainFormatError) as info:
+            load_chain(path, "csv")
+        assert str(info.value) == outcome.format(path=path)
+    else:
+        values = load_chain(path, "csv").values
+        expected = np.array(outcome)
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("body", ["# only a comment\n", "\n#a\r\n\r\n", "#a\n#b"])
+def test_csv_without_data_rows_raises_no_warning(tmp_path, body):
+    path = tmp_path / "c.csv"
+    path.write_text("c1,c2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChainFormatError) as info:
+            load_chain(path, "csv")
+    assert str(info.value) == f"{path}: no data rows"
+
+
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                    reason="csv files are read in the locale's encoding")
+def test_csv_decoding_error_is_that_of_a_whole_body_read(tmp_path):
+    # the byte position counts from the end of the text file's first
+    # 8 KiB chunk, which reading the header decoded
+    body = b"1,2\n" * 6000
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"c1,c2\n" + body[:9000] + b"\xff" + body[9000:])
+    with pytest.raises(UnicodeDecodeError) as info:
+        load_chain(path, "csv")
+    assert str(info.value) == ("'utf-8' codec can't decode byte 0xff in position 814: "
+                               "invalid start byte")
+
+
+def test_csv_parses_each_run_of_repeated_rows_once(tmp_path, monkeypatch):
+    values = np.repeat([[1.0, 2.0], [0.5, -0.0], [1.0, 2.0]], [300, 1, 200], axis=0)
+    path = tmp_path / "c.csv"
+    save_chain(Chain(values), path, "csv")
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(lines, *args, **kwargs):
+        lines = list(lines)
+        parsed.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    back = load_chain(path, "csv")
+    assert parsed == [3]
+    assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+
+# values whose text is easy to get wrong: both zeros, subnormals, extremes
+_special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                            1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0])
+_value = st.one_of(_special, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _chains_with_runs(draw):
+    p = draw(st.integers(1, 4))
+    rows, lengths = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        if rows and draw(st.booleans()):
+            # the previous row with every sign flipped: 0.0 next to -0.0
+            row = [-v for v in rows[-1]]
+        else:
+            row = draw(st.lists(_value, min_size=p, max_size=p))
+        rows.append(row)
+        lengths.append(draw(st.integers(1, 6)))
+    return np.repeat(np.array(rows, dtype=np.float64), lengths, axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_chains_with_runs())
+def test_csv_run_length_writer_and_reader(values):
+    chain = Chain(values)
+    header = ",".join(f"c{j + 1}" for j in range(chain.p))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle = Path(tmp) / "c.csv", Path(tmp) / "oracle.csv"
+        save_chain(chain, path, "csv")
+        np.savetxt(oracle, values, fmt="%.17g", delimiter=",", header=header, comments="")
+        assert path.read_bytes() == oracle.read_bytes()
+        back = load_chain(path, "csv").values
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+    assert back.flags.c_contiguous
+    assert not back.flags.writeable
 
 
 def test_chain_rejects_bad_shapes_and_values():

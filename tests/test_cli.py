@@ -1,6 +1,7 @@
 """Command line interface end to end, through the real argv entry point."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def test_simulate_csv_format(tmp_path):
                    "--out", str(out), "--params", str(params),
                    "--format", "csv") == 0
     assert load_chain(out, "csv").n == 50
+
+
+def test_comment_only_csv_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("c1,c2\n# only a comment\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("estimate", "--method", "mis", "--input", str(path),
+                       "--format", "csv")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: no data rows\n"
 
 
 def test_simulate_ranef_default_params(tmp_path):
