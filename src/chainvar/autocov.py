@@ -14,8 +14,18 @@ class MomentOverflowError(ValueError):
     """A chain's mean or lag-0 autocovariance overflows double precision.
 
     Its values are finite, but too large in magnitude for their products
-    (or their sum) to be represented; rescale the chain.
+    (or their sum) to be represented; rescale the chain.  ``moment`` is
+    ``"mean"`` or ``"variance"`` and ``column`` the 0-based index of the
+    first column whose moment overflows.
     """
+
+    def __init__(self, moment: str, column: int) -> None:
+        super().__init__(moment, column)
+        self.moment, self.column = moment, column
+
+    def __str__(self) -> str:
+        return (f"the {self.moment} of column c{self.column + 1} overflows; "
+                f"rescale the chain")
 
 
 def _centered(chain: Chain) -> np.ndarray:
@@ -80,17 +90,14 @@ class LagPairSequence:
         with np.errstate(over="ignore", invalid="ignore"):
             mean = chain.mean
             if not np.isfinite(mean).all():
-                j = int(np.argmin(np.isfinite(mean)))
-                raise MomentOverflowError(f"the mean of column c{j + 1} overflows; "
-                                          f"rescale the chain")
+                raise MomentOverflowError("mean", int(np.argmin(np.isfinite(mean))))
             self._centered = _centered(chain)
             g0 = symmetrize(_cross_lag(self._centered, 0))
         if not np.isfinite(g0).all():
             # by Cauchy-Schwarz a cross product overflows only where one of
             # its two variances does, so the diagonal names the column
-            j = int(np.argmin(np.isfinite(np.diagonal(g0))))
-            raise MomentOverflowError(f"the variance of column c{j + 1} overflows; "
-                                      f"rescale the chain")
+            raise MomentOverflowError("variance",
+                                      int(np.argmin(np.isfinite(np.diagonal(g0)))))
         self._gamma0 = _locked(g0)
         # A constant column's centered value is the rounding error of its
         # mean, within n * eps * |mean| (the sequential-summation bound;

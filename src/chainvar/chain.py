@@ -134,14 +134,18 @@ def load_chain(path, format: str = "bin") -> Chain:
     """Read a chain written by :func:`save_chain`.
 
     Raises :class:`ChainFormatError` when the element count disagrees
-    with the declared shape and :class:`NonFiniteValueError` (naming the
+    with the declared shape or a csv file is not UTF-8 text, and
+    :class:`NonFiniteValueError` (naming the
     offending cell) when the data contains NaN or infinities.
     """
     path = Path(path)
     if format == "bin":
         return _load_bin(path)
     if format == "csv":
-        return _load_csv(path)
+        try:
+            return _load_csv(path)
+        except UnicodeDecodeError as exc:
+            raise ChainFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     raise ValueError(f"unknown chain format {format!r}; expected one of {FORMATS}")
 
 
@@ -211,7 +215,8 @@ def _run_lines(fh, lengths: list[int]):
 
 
 def _load_csv(path: Path) -> Chain:
-    with open(path, "r", newline="") as fh:
+    # UTF-8 whatever the locale: the writer emits ASCII
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().strip()
         names = header.split(",") if header else []
         expected = [f"c{j + 1}" for j in range(len(names))]
@@ -232,8 +237,8 @@ def _load_csv(path: Path) -> Chain:
         else:
             # an error, or blank or comment lines that left fewer rows than
             # runs: the whole body is parsed as one stream, so values and
-            # messages (loadtxt's row numbers, a decoding error's byte
-            # position) are those of a plain read and parse
+            # messages (loadtxt's row numbers) are those of a plain read and
+            # parse
             fh.seek(0)
             fh.readline()
             body = fh.read()

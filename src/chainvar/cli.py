@@ -14,22 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
-from .autocov import LagPairSequence
 from .chain import FORMATS, load_chain, save_chain
-from .diagnostics import _ellipsoid_region, _ess, cube_region, min_univariate_ess
-from .estimators import (
-    METHODS,
-    MULTIVARIATE,
-    NoPositiveDefinitePartialSum,
-    uis,
-    uis_components,
-)
+from .diagnostics import Analysis
+from .estimators import METHODS, NoPositiveDefinitePartialSum, UvEstimate
 from .experiments import ExperimentConfig, emit_tables, run_replications
 from .samplers import MODELS, build
-from .symmat import NotPositiveDefiniteError, logdet_from_eigenvalues
 
 # parameters `simulate` uses when no --params file is given
 _DEFAULT_PARAMS = {"ar1": {"kind": "hadamard", "p": 12}}
@@ -43,13 +36,9 @@ def _load_params(path: str | None) -> dict:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    if path is None:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -62,81 +51,49 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimate_payload(chain, method: str) -> dict:
-    n, p = chain.n, chain.p
-    if method == "uis":
-        est = uis(chain)
-        return {
-            "method": "uis", "n": n, "p": p,
-            "sigma": [est.sigma2], "s_n": None, "t_n": est.t_n,
-            "logdet": float(np.log(est.sigma2)) if est.sigma2 > 0.0 else None,
-            "pd": bool(est.sigma2 > 0.0), "degenerate": est.degenerate,
-        }
-    est = MULTIVARIATE[method](chain)
-    return {
-        "method": est.method, "n": n, "p": p,
-        "sigma": [float(v) for v in est.sigma.ravel()],
-        "s_n": est.s_n, "t_n": est.t_n,
-        "logdet": float(est.logdet), "pd": bool(est.pd),
-        "degenerate": est.degenerate,
-    }
-
-
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    chain = load_chain(args.input, args.format)
-    payload = _estimate_payload(chain, args.method)
-    _write_json(payload, args.output)
-    return 0
-
-
-def _cmd_ess(args: argparse.Namespace) -> int:
-    chain = load_chain(args.input, args.format)
-    if args.method == "uis":
-        payload = {"method": "uis", "n": chain.n, "p": chain.p,
-                   "ess": min_univariate_ess(chain)}
+def _estimate_view(analysis: Analysis, args: argparse.Namespace) -> dict:
+    est = analysis.estimate(args.method)
+    payload = {"method": args.method, "n": analysis.chain.n, "p": analysis.chain.p}
+    if isinstance(est, UvEstimate):
+        pd = bool(est.sigma2 > 0.0)
+        payload.update(sigma=[est.sigma2], s_n=None, t_n=est.t_n,
+                       logdet=float(np.log(est.sigma2)) if pd else None, pd=pd)
     else:
-        pairs = LagPairSequence(chain)
-        est = MULTIVARIATE[args.method](pairs)
-        logdet_lam = logdet_from_eigenvalues(pairs.gamma0_eigenvalues)
-        payload = {
-            "method": args.method, "n": chain.n, "p": chain.p,
-            "ess": _ess(chain.n, chain.p, logdet_lam,
-                        logdet_from_eigenvalues(est.eigenvalues)),
-            "logdet_lambda": logdet_lam, "logdet_sigma": float(est.logdet),
-        }
-    _write_json(payload, args.output)
-    return 0
+        payload.update(sigma=[float(v) for v in est.sigma.ravel()], s_n=est.s_n,
+                       t_n=est.t_n, logdet=float(est.logdet), pd=bool(est.pd))
+    payload["degenerate"] = est.degenerate
+    return payload
 
 
-def _cmd_region(args: argparse.Namespace) -> int:
-    chain = load_chain(args.input, args.format)
-    alpha = 1.0 - args.level
-    if args.kind == "ellipsoid":
-        if args.method == "uis":
-            raise ValueError("ellipsoid regions need a multivariate method")
-        est = MULTIVARIATE[args.method](chain)
-        region = _ellipsoid_region(chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
-        shape = {"cutoff": region.cutoff,
-                 "sigma": [float(v) for v in region.sigma.ravel()]}
-    else:
-        if args.method != "uis":
-            raise ValueError("cube regions are built from the uis method")
-        sd = np.empty(chain.p)
-        for j, est in enumerate(uis_components(chain)):
-            if not est.usable:
-                raise ValueError(f"degenerate univariate estimate in component {j}")
-            sd[j] = est.sigma2 ** 0.5
-        region = cube_region(chain.mean, sd, chain.n, alpha,
-                             bonferroni=args.kind == "bonf")
-        shape = {"half_widths": [float(v) for v in region.half_widths]}
+def _ess_view(analysis: Analysis, args: argparse.Namespace) -> dict:
+    payload = {"method": args.method, "n": analysis.chain.n, "p": analysis.chain.p,
+               "ess": analysis.ess(args.method)}
+    if args.method != "uis":
+        payload["logdet_lambda"] = analysis.logdet_lambda
+        payload["logdet_sigma"] = float(analysis.estimate(args.method).logdet)
+    return payload
+
+
+def _region_view(analysis: Analysis, args: argparse.Namespace) -> dict:
+    kind = "bonferroni" if args.kind == "bonf" else args.kind
+    region = analysis.region(args.method, kind, args.level)
     payload = {
         "kind": region.kind, "level": region.level, "n": region.n, "p": region.p,
         "center": [float(v) for v in region.center],
         "volume": region.volume, "volume_root": region.volume_root,
         "log_volume": region.log_volume,
     }
-    payload.update(shape)
-    _write_json(payload, args.output)
+    if kind == "ellipsoid":
+        payload["cutoff"] = region.cutoff
+        payload["sigma"] = [float(v) for v in region.sigma.ravel()]
+    else:
+        payload["half_widths"] = [float(v) for v in region.half_widths]
+    return payload
+
+
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    analysis = Analysis(load_chain(args.input, args.format))
+    _write_json(args.view(analysis, args), args.output)
     return 0
 
 
@@ -165,28 +122,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", default="bin", choices=FORMATS)
     sim.set_defaults(func=_cmd_simulate)
 
-    est = sub.add_parser("estimate", help="long-run covariance estimate as JSON")
+    # the commands that print a view of one stored chain's analysis
+    chain_io = argparse.ArgumentParser(add_help=False)
+    chain_io.add_argument("--input", required=True)
+    chain_io.add_argument("--output")
+    chain_io.add_argument("--format", default="bin", choices=FORMATS)
+
+    est = sub.add_parser("estimate", parents=[chain_io],
+                         help="long-run covariance estimate as JSON")
     est.add_argument("--method", required=True, choices=METHODS)
-    est.add_argument("--input", required=True)
-    est.add_argument("--output")
-    est.add_argument("--format", default="bin", choices=FORMATS)
-    est.set_defaults(func=_cmd_estimate)
+    est.set_defaults(func=_cmd_analysis, view=_estimate_view)
 
-    essp = sub.add_parser("ess", help="effective sample size")
-    essp.add_argument("--input", required=True)
+    essp = sub.add_parser("ess", parents=[chain_io], help="effective sample size")
     essp.add_argument("--method", default="mis", choices=METHODS)
-    essp.add_argument("--output")
-    essp.add_argument("--format", default="bin", choices=FORMATS)
-    essp.set_defaults(func=_cmd_ess)
+    essp.set_defaults(func=_cmd_analysis, view=_ess_view)
 
-    reg = sub.add_parser("region", help="confidence region for the mean vector")
-    reg.add_argument("--input", required=True)
+    reg = sub.add_parser("region", parents=[chain_io],
+                         help="confidence region for the mean vector")
     reg.add_argument("--method", default="mis", choices=METHODS)
     reg.add_argument("--level", type=float, default=0.9)
     reg.add_argument("--kind", default="ellipsoid", choices=("ellipsoid", "cube", "bonf"))
-    reg.add_argument("--output")
-    reg.add_argument("--format", default="bin", choices=FORMATS)
-    reg.set_defaults(func=_cmd_region)
+    reg.set_defaults(func=_cmd_analysis, view=_region_view)
 
     exp = sub.add_parser("experiment", help="replication harness")
     exp.add_argument("--config", required=True)
@@ -202,8 +158,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError,
-            NoPositiveDefinitePartialSum, NotPositiveDefiniteError) as exc:
+    except (ValueError, OSError, KeyError, NoPositiveDefinitePartialSum) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

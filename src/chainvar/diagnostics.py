@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
 
-from .autocov import autocov
+from .autocov import LagPairSequence, autocov
 from .chain import Chain
-from .estimators import UvEstimate, uis_components
+from .estimators import MULTIVARIATE, MvEstimate, UvEstimate, uis, uis_components
 from .symmat import (
     NotPositiveDefiniteError,
     eigenvalues_sym,
@@ -63,13 +64,6 @@ def _ess(n: int, p: int, logdet_lam: float, logdet_sigma: float) -> float:
     return float(n * math.exp((logdet_lam - logdet_sigma) / p))
 
 
-def _univariate_ess(n: int, lam: np.ndarray, estimates: list[UvEstimate]) -> list[float]:
-    """``n * (lam_jj / sigma2_j)`` per component; NaN where the estimate is unusable."""
-    g0 = np.diag(lam)
-    return [float(n * (g0[j] / est.sigma2)) if est.usable else float("nan")
-            for j, est in enumerate(estimates)]
-
-
 def univariate_ess_components(chain: Chain) -> list[float]:
     """Component-wise effective sample sizes from univariate truncation.
 
@@ -78,7 +72,7 @@ def univariate_ess_components(chain: Chain) -> list[float]:
     variance of that coordinate.  Components whose estimate is degenerate
     or non-positive come back as NaN.
     """
-    return _univariate_ess(chain.n, sample_cov(chain), uis_components(chain))
+    return Analysis(chain).component_ess()
 
 
 def min_univariate_ess(chain: Chain) -> float:
@@ -87,20 +81,7 @@ def min_univariate_ess(chain: Chain) -> float:
     Components whose univariate estimate is degenerate are excluded with
     a warning; if every component is degenerate a ValueError is raised.
     """
-    if chain.n < 2:
-        raise ValueError("need n >= 2")
-    values = univariate_ess_components(chain)
-    usable = [v for v in values if not math.isnan(v)]
-    if not usable:
-        raise ValueError("every component has a degenerate univariate estimate")
-    if len(usable) < len(values):
-        skipped = [j for j, v in enumerate(values) if math.isnan(v)]
-        warnings.warn(
-            f"excluded degenerate components {skipped} from the univariate ESS minimum",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return min(usable)
+    return Analysis(chain).ess("uis")
 
 
 @dataclass(frozen=True)
@@ -199,3 +180,86 @@ def cube_region(mu_n, sigma_diag, n: int, alpha: float, bonferroni: bool = False
     log_volume = float(np.log(2.0 * half).sum())
     kind = "bonferroni-cube" if bonferroni else "cube"
     return Region(kind, mu_n, 1.0 - alpha, n, log_volume, half_widths=half)
+
+
+class Analysis:
+    """One chain's estimates, and the ESS and regions built from them.
+
+    ``uis`` means the per-component univariate estimates, which give the
+    smallest component-wise ESS and the cubes; any other method is a
+    p-by-p estimate on the one shared :class:`LagPairSequence`, which
+    gives the determinant ESS and the ellipsoid.  Each is computed once.
+    """
+
+    def __init__(self, chain: Chain) -> None:
+        self.chain = chain
+        self._estimates: dict[str, MvEstimate | UvEstimate] = {}
+
+    @cached_property
+    def pairs(self) -> LagPairSequence:
+        return LagPairSequence(self.chain)
+
+    @cached_property
+    def components(self) -> list[UvEstimate]:
+        return uis_components(self.chain)
+
+    @property
+    def logdet_lambda(self) -> float:
+        """Log-determinant of the lag-0 autocovariance, which must be PD."""
+        return logdet_from_eigenvalues(self.pairs.gamma0_eigenvalues)
+
+    def estimate(self, method: str) -> MvEstimate | UvEstimate:
+        """The estimate by ``method``; ``uis`` needs a univariate chain."""
+        if method not in self._estimates:
+            self._estimates[method] = (uis(self.chain) if method == "uis"
+                                       else MULTIVARIATE[method](self.pairs))
+        return self._estimates[method]
+
+    def component_ess(self) -> list[float]:
+        """See :func:`univariate_ess_components`."""
+        g0 = np.diagonal(self.pairs.gamma0)
+        return [float(self.chain.n * (g0[j] / est.sigma2)) if est.usable else float("nan")
+                for j, est in enumerate(self.components)]
+
+    def ess(self, method: str) -> float:
+        """:func:`ess` of a multivariate method; for ``uis``, :func:`min_univariate_ess`."""
+        chain = self.chain
+        if method != "uis":
+            est = self.estimate(method)
+            return _ess(chain.n, chain.p, self.logdet_lambda,
+                        logdet_from_eigenvalues(est.eigenvalues))
+        if chain.n < 2:
+            raise ValueError("need n >= 2")
+        values = self.component_ess()
+        usable = [v for v in values if not math.isnan(v)]
+        if not usable:
+            raise ValueError("every component has a degenerate univariate estimate")
+        if len(usable) < len(values):
+            skipped = [j for j, v in enumerate(values) if math.isnan(v)]
+            warnings.warn(
+                f"excluded degenerate components {skipped} from the univariate ESS minimum",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return min(usable)
+
+    def uis_sd(self) -> np.ndarray:
+        """The uis long-run standard deviations; raises at an unusable component."""
+        for j, est in enumerate(self.components):
+            if not est.usable:
+                raise ValueError(f"degenerate univariate estimate in component {j}")
+        return np.sqrt([est.sigma2 for est in self.components])
+
+    def region(self, method: str, kind: str, level: float) -> Region:
+        """The ``ellipsoid`` of a multivariate method, or the ``cube`` or
+        ``bonferroni`` cube of ``uis``, at ``level``."""
+        chain, alpha = self.chain, 1.0 - level
+        if kind == "ellipsoid":
+            if method == "uis":
+                raise ValueError("ellipsoid regions need a multivariate method")
+            est = self.estimate(method)
+            return _ellipsoid_region(chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
+        if method != "uis":
+            raise ValueError("cube regions are built from the uis method")
+        return cube_region(chain.mean, self.uis_sd(), chain.n, alpha,
+                           bonferroni=kind == "bonferroni")

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .autocov import LagPairSequence
+from .autocov import LagPairSequence, MomentOverflowError
 from .chain import Chain
 from .symmat import (
     eigen_sym,
@@ -226,9 +226,17 @@ def uis_components(chain: Chain) -> list[UvEstimate]:
     """:func:`uis` applied to each coordinate of a chain in turn.
 
     Each coordinate gets its own scan and stops at its own ``t_n``; only
-    lag products of that one column are computed, never p-by-p lags.
+    lag products of that one column are computed, never p-by-p lags.  A
+    coordinate whose moments overflow raises :class:`MomentOverflowError`
+    naming its column of ``chain``.
     """
-    return [uis(chain.column(j)) for j in range(chain.p)]
+    estimates = []
+    for j in range(chain.p):
+        try:
+            estimates.append(uis(chain.column(j)))
+        except MomentOverflowError as exc:
+            raise MomentOverflowError(exc.moment, j) from None
+    return estimates
 
 
 # Estimators of the full p-by-p long-run covariance, by method name.

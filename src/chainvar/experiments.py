@@ -15,12 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._blas import pin_single_thread, single_threaded_blas
-from .autocov import LagPairSequence
-from .chain import Chain
-from .diagnostics import Region, _ellipsoid_region, _ess, _univariate_ess, cube_region
-from .estimators import METHODS, MULTIVARIATE, NoPositiveDefinitePartialSum, uis_components
+from .diagnostics import Analysis, Region
+from .estimators import METHODS, NoPositiveDefinitePartialSum, uis_components
 from .samplers import MODELS, build, replication_stream, truth_stream
-from .symmat import NotPositiveDefiniteError, logdet_from_eigenvalues
+from .symmat import NotPositiveDefiniteError
 
 REGION_KINDS = ("ellipsoid", "cube", "bonferroni")
 TRUTH_KINDS = ("analytic", "long-run", "external")
@@ -150,33 +148,31 @@ def _replication_record(config: ExperimentConfig, simulate,
 
     Returns the record and the confidence region of each table row that
     built one; :func:`_with_coverage` later adds whether it covers the truth.
+    A degenerate or indefinite estimate fails its row, and an unusable
+    component fails the uis rows.
     """
     chain, _ = simulate(config.n, replication_stream(config.master_seed, index))
-    pairs = LagPairSequence(chain)
-    alpha = 1.0 - config.level
+    analysis = Analysis(chain)
+    analysis.pairs  # a moment overflow names its column of the whole chain
     out: dict = {"replication": index, "methods": {}}
     regions: dict[str, Region] = {}
     for method in config.methods:
-        if method not in MULTIVARIATE:
+        if method == "uis":
             continue
         try:
-            est = MULTIVARIATE[method](pairs)
+            est = analysis.estimate(method)
             if est.degenerate:
                 raise NotPositiveDefiniteError("degenerate estimate")
             entry = {"s_n": est.s_n, "t_n": est.t_n, "logdet": float(est.logdet),
-                     "pd": bool(est.pd),
-                     "ess": _ess(chain.n, chain.p,
-                                 logdet_from_eigenvalues(pairs.gamma0_eigenvalues),
-                                 logdet_from_eigenvalues(est.eigenvalues))}
+                     "pd": bool(est.pd), "ess": analysis.ess(method)}
             if "ellipsoid" in config.regions:
-                regions[method] = region = _ellipsoid_region(
-                    chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
+                regions[method] = region = analysis.region(method, "ellipsoid", config.level)
                 entry["volroot"] = region.volume_root
         except (NoPositiveDefinitePartialSum, NotPositiveDefiniteError) as exc:
             entry = {"failed": f"{type(exc).__name__}: {exc}"}
         out["methods"][method] = entry
     if "uis" in config.methods:
-        out["methods"].update(_univariate_entries(chain, pairs, config, alpha, regions))
+        out["methods"].update(_univariate_entries(analysis, config, regions))
     return out, regions
 
 
@@ -192,25 +188,21 @@ def _uis_rows(config: ExperimentConfig) -> tuple[str, ...]:
     return ("uis", "uis_bonferroni") if "bonferroni" in config.regions else ("uis",)
 
 
-def _univariate_entries(chain: Chain, pairs: LagPairSequence, config: ExperimentConfig,
-                        alpha: float, regions: dict[str, Region]) -> dict:
+def _univariate_entries(analysis: Analysis, config: ExperimentConfig,
+                        regions: dict[str, Region]) -> dict:
     """The uis rows of a record; each cube built goes into ``regions``."""
-    estimates = uis_components(chain)
-    bad = next((j for j, est in enumerate(estimates) if not est.usable), None)
-    if bad is not None:
-        return {row: {"failed": f"degenerate univariate estimate in component {bad}"}
-                for row in _uis_rows(config)}
-    sigma2 = np.array([est.sigma2 for est in estimates])
-    base = {"ess": min(_univariate_ess(chain.n, pairs.gamma0, estimates)),
-            "logdet": float(np.log(sigma2).sum())}
-    sd = np.sqrt(sigma2)
+    try:
+        analysis.uis_sd()
+    except ValueError as exc:  # an unusable component
+        return {row: {"failed": str(exc)} for row in _uis_rows(config)}
+    sigma2 = [est.sigma2 for est in analysis.components]
+    base = {"ess": analysis.ess("uis"), "logdet": float(np.log(sigma2).sum())}
     out = {}
     for row in _uis_rows(config):
-        bonferroni = row == "uis_bonferroni"
+        kind = "bonferroni" if row == "uis_bonferroni" else "cube"
         out[row] = entry = dict(base)
-        if bonferroni or "cube" in config.regions:
-            regions[row] = region = cube_region(chain.mean, sd, chain.n, alpha,
-                                                bonferroni=bonferroni)
+        if kind in config.regions:
+            regions[row] = region = analysis.region("uis", kind, config.level)
             entry["volroot"] = region.volume_root
     return out
 

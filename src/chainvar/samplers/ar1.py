@@ -130,11 +130,6 @@ class Ar1Truth:
         d = self.decays
         return self._assemble((d ** (2 * i) + d ** (2 * i + 1)) * self._mode_c())
 
-    def pair_sum_eigenvalues(self, i: int) -> np.ndarray:
-        """Spectrum of ``pair_sum(i)`` when V = I (basis orthonormal)."""
-        d = self.decays
-        return np.sort((d ** (2 * i) + d ** (2 * i + 1)) * self._mode_c())
-
     def partial_sum(self, m: int) -> np.ndarray:
         """Truncated long-run covariance: -gamma(0) + 2 * (pair sums 0..m)."""
         if m < 0:

@@ -1,6 +1,8 @@
 """Chain validation and csv/binary persistence round trips."""
 
-import locale
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -221,18 +223,30 @@ def test_csv_without_data_rows_raises_no_warning(tmp_path, body):
     assert str(info.value) == f"{path}: no data rows"
 
 
-@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
-                    reason="csv files are read in the locale's encoding")
-def test_csv_decoding_error_is_that_of_a_whole_body_read(tmp_path):
-    # the byte position counts from the end of the text file's first
-    # 8 KiB chunk, which reading the header decoded
-    body = b"1,2\n" * 6000
+@pytest.mark.parametrize("offset", [0, 9000])
+def test_csv_with_a_bad_byte_is_a_format_error_naming_the_file(tmp_path, offset):
+    # the file is read as UTF-8 under every locale, so a byte that is not
+    # UTF-8 fails the same way everywhere, in the first 8 KiB chunk or later
+    body = "1,2\n".encode("utf-8") * 6000
     path = tmp_path / "c.csv"
-    path.write_bytes(b"c1,c2\n" + body[:9000] + b"\xff" + body[9000:])
-    with pytest.raises(UnicodeDecodeError) as info:
+    path.write_bytes(b"c1,c2\n" + body[:offset] + b"\xff" + body[offset:])
+    with pytest.raises(ChainFormatError) as info:
         load_chain(path, "csv")
-    assert str(info.value) == ("'utf-8' codec can't decode byte 0xff in position 814: "
-                               "invalid start byte")
+    assert str(info.value) == f"{path}: not a UTF-8 text file (invalid start byte)"
+
+
+def test_csv_reading_ignores_the_locale_encoding(tmp_path):
+    # under the C locale without UTF-8 mode, text files default to ASCII;
+    # a UTF-8 comment line must still read as it does under any other locale
+    path = tmp_path / "c.csv"
+    path.write_bytes("c1\n1.5\n# d\u00e9j\u00e0\n2.5\n".encode("utf-8"))
+    code = ("import sys; from chainvar import load_chain; "
+            "print(load_chain(sys.argv[1], 'csv').values.ravel().tolist())")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code, str(path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[1.5, 2.5]\n"
 
 
 def test_csv_parses_each_run_of_repeated_rows_once(tmp_path, monkeypatch):

@@ -10,12 +10,14 @@ from chainvar import (
     Chain,
     ExperimentConfig,
     LagPairSequence,
+    diagnostics,
     experiments,
     load_chain,
     run_replications,
     save_chain,
 )
 from chainvar.cli import main
+from chainvar.samplers import build
 
 
 def run_cli(*argv):
@@ -90,7 +92,7 @@ def test_simulate_matches_harness_replication(model, params, p, tmp_path, monkey
             seen.append(chain.values.tobytes())
             super().__init__(chain)
 
-    monkeypatch.setattr(experiments, "LagPairSequence", Recording)
+    monkeypatch.setattr(diagnostics, "LagPairSequence", Recording)
     monkeypatch.setattr(experiments, "replication_stream", lambda master, r: master + r)
     config = ExperimentConfig(model=model, model_params=params, n=300, replications=2,
                               methods=("mk",), regions=(), master_seed=11,
@@ -104,6 +106,64 @@ def test_simulate_matches_harness_replication(model, params, p, tmp_path, monkey
         assert run_cli("simulate", "--model", model, "--n", "300", "--seed", str(11 + r),
                        "--out", str(out), "--params", str(params_file)) == 0
         assert load_chain(out, "bin").values.tobytes() == values
+
+
+# at these seeds a uis variance has a square root whose last bit differs
+# between `** 0.5` and np.sqrt, so the cubes of both views must take the same
+@pytest.mark.parametrize("params, p, seed", [({"kind": "scalar", "a": 0.5}, 1, 122),
+                                             ({"kind": "hadamard", "p": 4}, 4, 125)])
+def test_analyst_commands_match_harness_record(params, p, seed, tmp_path, monkeypatch,
+                                               capsys):
+    # one seeded chain through the harness and through `simulate --seed`
+    # plus the analyst commands: both views print the very same numbers
+    monkeypatch.setattr(experiments, "replication_stream", lambda master, r: master + r)
+    config = ExperimentConfig(model="ar1", model_params=params, n=5_000, replications=1,
+                              level=0.8, master_seed=seed,
+                              truth={"kind": "external", "vector": [0.0] * p})
+    record, regions = experiments._replication_record(config, build("ar1", params)[0], 0)
+    record = record["methods"]
+    assert not [row for row, entry in record.items() if "failed" in entry]
+    params_file, chain_file = tmp_path / "params.json", tmp_path / "chain.bin"
+    params_file.write_text(json.dumps(params))
+    assert run_cli("simulate", "--model", "ar1", "--n", "5000", "--seed", str(seed),
+                   "--out", str(chain_file), "--params", str(params_file)) == 0
+    capsys.readouterr()
+
+    def payload(*argv):
+        assert run_cli(*argv, "--input", str(chain_file)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    for method in ("mis", "misadj", "mk"):
+        row = record[method]
+        est = payload("estimate", "--method", method)
+        assert (est["logdet"], est["s_n"], est["t_n"]) == (row["logdet"], row["s_n"], row["t_n"])
+        assert payload("ess", "--method", method)["ess"] == row["ess"]
+        region = payload("region", "--method", method, "--kind", "ellipsoid", "--level", "0.8")
+        assert region["volume_root"] == row["volroot"]
+        assert region["sigma"] == regions[method].sigma.ravel().tolist()
+    assert payload("ess", "--method", "uis")["ess"] == record["uis"]["ess"]
+    for kind, row in (("cube", "uis"), ("bonf", "uis_bonferroni")):
+        region = payload("region", "--method", "uis", "--kind", kind, "--level", "0.8")
+        assert region["volume_root"] == record[row]["volroot"]
+        assert region["half_widths"] == regions[row].half_widths.tolist()
+    if p == 1:
+        assert payload("estimate", "--method", "uis")["logdet"] == record["uis"]["logdet"]
+
+
+@pytest.mark.parametrize("argv", [("ess", "--method", "uis"),
+                                  ("region", "--method", "uis", "--kind", "bonf"),
+                                  ("estimate", "--method", "mis")])
+def test_overflowing_column_is_named_without_a_warning(argv, tmp_path, capsys):
+    values = np.random.default_rng(7).standard_normal((500, 4))
+    values[:, 1] *= 2.0**520
+    path = tmp_path / "huge.bin"
+    save_chain(Chain(values), path, "bin")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*argv, "--input", str(path))
+    assert code == 2
+    assert capsys.readouterr().err == ("error: the variance of column c2 overflows; "
+                                       "rescale the chain\n")
 
 
 def test_estimate_json_payload(ar1_chain_file, tmp_path):

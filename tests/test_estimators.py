@@ -294,16 +294,24 @@ class TestUnitsDoNotMatter:
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=40, deadline=None)
-    @given(spec=_chains, k=st.integers(511, 1020))
-    def test_overflowing_units_raise_a_named_error(self, spec, k):
-        # the values stay finite, but gamma0 overflows at every n drawn (its
-        # sum of squares exceeds 4 * 4**511), and near k = 1020 the sum
-        # behind the mean overflows as well
+    @given(spec=_chains, k=st.integers(511, 1020), column=st.integers(0, 3))
+    def test_overflowing_units_raise_a_named_error(self, spec, k, column):
+        # only column j is scaled; its values stay finite, but its variance
+        # overflows at every n drawn (its sum of squares exceeds 4 * 4**511),
+        # and near k = 1020 the sum behind its mean overflows as well
         seed, n, p = spec
-        huge = Chain(ar_like(np.random.default_rng(seed), n, p).values * 2.0**k)
-        for method in (mis, misadj, mk, uis_components, lambda chain: uis(chain.column(0))):
-            with pytest.raises(MomentOverflowError, match=r"of column c\d+ overflows"):
+        j = column % p
+        values = ar_like(np.random.default_rng(seed), n, p).values.copy()
+        values[:, j] *= 2.0**k
+        huge = Chain(values)
+        for method in (mis, misadj, mk, uis_components):
+            with pytest.raises(MomentOverflowError) as info:
                 method(huge)
+            assert info.value.column == j
+            assert str(info.value) == (f"the {info.value.moment} of column c{j + 1} "
+                                       f"overflows; rescale the chain")
+        with pytest.raises(MomentOverflowError, match=r"^the (mean|variance) of column c1 "):
+            uis(huge.column(j))
 
     def test_tiny_units_estimate(self):
         # the former absolute floor rejected every truncated sum of this
