@@ -53,12 +53,34 @@ def autocov(chain: Chain, t: int) -> np.ndarray:
     """Lag-t empirical autocovariance matrix (divisor n).
 
     Generally nonsymmetric for t >= 1; the lag-0 matrix is symmetric
-    positive semi-definite by its Gram structure.
+    positive semi-definite by its Gram structure.  At lag 0, a mean or
+    variance that overflows raises :class:`MomentOverflowError`.
     """
     if not 0 <= t <= chain.n - 1:
         raise ValueError(f"lag t={t} out of range [0, {chain.n - 1}]")
-    raw = _cross_lag(_centered(chain), t)
-    return symmetrize(raw) if t == 0 else raw
+    if t == 0:
+        return _lag0(chain)[2]
+    return _cross_lag(_centered(chain), t)
+
+
+def _lag0(chain: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mean, the centered values and the symmetrized lag-0 autocovariance.
+
+    Finite values can still overflow their sum, their centering or their
+    squares; that raises :class:`MomentOverflowError` naming the first such
+    column, never a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = chain.mean
+        if not np.isfinite(mean).all():
+            raise MomentOverflowError("mean", int(np.argmin(np.isfinite(mean))))
+        centered = _centered(chain)
+        g0 = symmetrize(_cross_lag(centered, 0))
+    if not np.isfinite(g0).all():
+        # by Cauchy-Schwarz a cross product overflows only where one of
+        # its two variances does, so the diagonal names the column
+        raise MomentOverflowError("variance", int(np.argmin(np.isfinite(np.diagonal(g0)))))
+    return mean, centered, g0
 
 
 class LagPairSequence:
@@ -85,19 +107,7 @@ class LagPairSequence:
         self.n = chain.n
         self.p = chain.p
         self.max_index = chain.n // 2 - 1  # largest pair index, floor(n/2 - 1)
-        # finite values can still overflow their sum, their centering or
-        # their squares; that is reported below by column, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = chain.mean
-            if not np.isfinite(mean).all():
-                raise MomentOverflowError("mean", int(np.argmin(np.isfinite(mean))))
-            self._centered = _centered(chain)
-            g0 = symmetrize(_cross_lag(self._centered, 0))
-        if not np.isfinite(g0).all():
-            # by Cauchy-Schwarz a cross product overflows only where one of
-            # its two variances does, so the diagonal names the column
-            raise MomentOverflowError("variance",
-                                      int(np.argmin(np.isfinite(np.diagonal(g0)))))
+        mean, self._centered, g0 = _lag0(chain)
         self._gamma0 = _locked(g0)
         # A constant column's centered value is the rounding error of its
         # mean, within n * eps * |mean| (the sequential-summation bound;

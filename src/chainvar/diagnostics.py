@@ -43,7 +43,10 @@ def normal_quantile(prob: float) -> float:
 
 
 def sample_cov(chain: Chain) -> np.ndarray:
-    """Sample covariance of the recorded values (divisor n; symmetric PSD)."""
+    """Sample covariance of the recorded values (divisor n; symmetric PSD).
+
+    Raises :class:`MomentOverflowError` if the mean or a variance overflows.
+    """
     return autocov(chain, 0)
 
 
@@ -217,7 +220,10 @@ class Analysis:
 
     def component_ess(self) -> list[float]:
         """See :func:`univariate_ess_components`."""
-        g0 = np.diagonal(self.pairs.gamma0)
+        # without a shared sequence, gamma0 alone (the same bits) frees its
+        # n x p centered copy before the column scans run
+        g0 = np.diagonal(self.pairs.gamma0 if "pairs" in self.__dict__
+                         else sample_cov(self.chain))
         return [float(self.chain.n * (g0[j] / est.sigma2)) if est.usable else float("nan")
                 for j, est in enumerate(self.components)]
 

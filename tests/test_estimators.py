@@ -15,8 +15,10 @@ from chainvar import (
     mis,
     misadj,
     mk,
+    sample_cov,
     uis,
     uis_components,
+    univariate_ess_components,
 )
 from chainvar.symmat import pd_from_eigenvalues, signed_logdet, signed_logdet_greater
 
@@ -304,7 +306,8 @@ class TestUnitsDoNotMatter:
         values = ar_like(np.random.default_rng(seed), n, p).values.copy()
         values[:, j] *= 2.0**k
         huge = Chain(values)
-        for method in (mis, misadj, mk, uis_components):
+        for method in (mis, misadj, mk, uis_components, sample_cov,
+                       univariate_ess_components):
             with pytest.raises(MomentOverflowError) as info:
                 method(huge)
             assert info.value.column == j

@@ -1,11 +1,14 @@
 """Sampler fixtures: Hadamard construction, AR(1) ground truth, the logistic
 random walk sampler, and the random effects Gibbs sampler."""
 
+import hashlib
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import solve_triangular
 
@@ -23,17 +26,14 @@ from chainvar import (
     simulate_dataset,
     uis,
 )
-from chainvar.samplers import MODELS, build, random_effects
+from chainvar.samplers import MODELS, build
 from chainvar.samplers.ar1 import _modes
 from chainvar.samplers.logistic import generate_logit_data, log_prior
 from chainvar.samplers.random_effects import (
+    GibbsSweep,
     RandomEffectsHyper,
     RandomEffectsState,
     coordinate_names,
-    draw_component_precisions,
-    draw_locations,
-    draw_observation_precisions,
-    draw_shrinkage_precision,
 )
 
 
@@ -273,6 +273,16 @@ def _fixed_state():
     )
 
 
+def _sweep(state, hyper, y, seed):
+    return GibbsSweep(np.asarray(y, dtype=np.float64), hyper, state,
+                      np.random.default_rng(seed))
+
+
+def _locations(sweep):
+    # the (theta, mu) entries of the recorded row
+    return sweep.row[:sweep.theta.shape[0] + 1].copy()
+
+
 class TestGibbsConditionals:
     def test_shrinkage_precision_conjugacy_against_quadrature(self):
         # the unnormalized conditional integrates to gamma(shape, rate)
@@ -287,10 +297,13 @@ class TestGibbsConditionals:
         m2 = integrate.quad(lambda v: v * v * dens(v), 0.0, np.inf)[0] / z
         assert abs(m1 - shape / rate) < 1e-9
         assert abs(m2 - m1 * m1 - shape / rate**2) < 1e-9
-        rng = np.random.default_rng(70)
-        draws = np.array(
-            [draw_shrinkage_precision(state, hyper, rng) for _ in range(100_000)]
-        )
+        # the block's own value is not an input of its conditional, so
+        # repeated draws are independent draws from it
+        sweep = _sweep(state, hyper, np.zeros(2), 70)
+        draws = np.empty(100_000)
+        for i in range(draws.size):
+            sweep.draw_shrinkage_precision()
+            draws[i] = sweep.lam_theta
         se_mean = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - m1) <= 2.0 * se_mean
         var = draws.var(ddof=1)
@@ -326,8 +339,11 @@ class TestGibbsConditionals:
         assert abs(mean[0] - q_th) < 1e-6
         assert abs(mean[1] - q_mu) < 1e-6
 
-        rng = np.random.default_rng(71)
-        draws = np.array([draw_locations(state, hyper, y, rng) for _ in range(50_000)])
+        sweep = _sweep(state, hyper, y, 71)
+        draws = np.empty((50_000, 2))
+        for i in range(draws.shape[0]):
+            sweep.draw_locations()
+            draws[i] = _locations(sweep)
         cov = np.linalg.inv(precision)
         for k in range(2):
             se = math.sqrt(cov[k, k] / draws.shape[0])
@@ -360,6 +376,43 @@ def _dense_draw_locations(state, hyper, y, rng):
     return mean + solve_triangular(lower.T, z, lower=False)
 
 
+def _arrow_draw_locations(state, hyper, y, rng):
+    # the closed-form arrow draw, computed afresh from the state
+    c = state.lam_theta * state.lam
+    d = state.gam + c
+    w = c / d
+    b = state.gam * y
+    schur = hyper.v0 + float(w @ state.gam)
+    z = rng.standard_normal(d.shape[0] + 1)
+    mu = (hyper.v0 * hyper.m0 + float(w @ b)) / schur + float(z[-1]) / math.sqrt(schur)
+    return np.concatenate([(b + c * mu) / d + z[:-1] / np.sqrt(d), [mu]])
+
+
+def _reference_chain(y, hyper, n, rng, draw_locations=_arrow_draw_locations):
+    # The sampler as a plain per-iteration loop: rng.integers(4) picks the
+    # block, and every conditional is computed afresh from the state, with
+    # rng.gamma for the precisions.
+    K = y.shape[0]
+    state = RandomEffectsState(theta=y.copy(), mu=float(y.mean()), lam_theta=1.0,
+                               lam=np.ones(K), gam=np.ones(K))
+    out = np.empty((n, 3 * K + 2))
+    for i in range(n):
+        block = int(rng.integers(4))
+        if block == 0:
+            rate = hyper.b1 + 0.5 * float(state.lam @ (state.theta - state.mu) ** 2)
+            state.lam_theta = float(rng.gamma(hyper.a1 + 0.5 * K, 1.0 / rate))
+        elif block == 1:
+            rates = hyper.b2 + 0.5 * state.lam_theta * (state.theta - state.mu) ** 2
+            state.lam = rng.gamma(hyper.a2 + 0.5, 1.0 / rates)
+        elif block == 2:
+            state.gam = rng.gamma(hyper.a3 + 0.5, 1.0 / (hyper.b3 + 0.5 * (y - state.theta) ** 2))
+        else:
+            xi = draw_locations(state, hyper, y, rng)
+            state.theta, state.mu = xi[:K], float(xi[K])
+        out[i] = np.concatenate([state.theta, [state.mu, state.lam_theta], state.lam, state.gam])
+    return out
+
+
 def _random_state(rng, K):
     return RandomEffectsState(
         theta=rng.standard_normal(K),
@@ -370,6 +423,19 @@ def _random_state(rng, K):
     )
 
 
+def _same_state(a, b):
+    # bit generator states are dicts that may hold arrays (Philox, MT19937)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                   np.random.MT19937, np.random.SFC64]
+
+
 class TestArrowLocationDraw:
     @pytest.mark.parametrize("K", [1, 2, 21, 60])
     def test_matches_dense_reference(self, K):
@@ -378,28 +444,18 @@ class TestArrowLocationDraw:
         for trial in range(50):
             state = _random_state(rng, K)
             y = 2.0 * rng.standard_normal(K)
-            got = draw_locations(state, hyper, y, np.random.default_rng(trial))
+            sweep = _sweep(state, hyper, y, trial)
+            sweep.draw_locations()
             want = _dense_draw_locations(state, hyper, y, np.random.default_rng(trial))
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(_locations(sweep), want, rtol=1e-12, atol=1e-14)
 
-    def test_chain_matches_dense_path(self, monkeypatch):
-        # the whole sampler against the former per-iteration path: dense
+    def test_chain_matches_dense_path(self):
+        # the whole sampler against the per-iteration loop with dense
         # location draws and rng.gamma with an array of scales
         y = simulate_dataset(21, seed=1)
         got = gibbs_random_effects(y, n=2000, seed=81).values
-        monkeypatch.setattr(random_effects, "draw_locations", _dense_draw_locations)
-        monkeypatch.setattr(
-            random_effects, "draw_component_precisions",
-            lambda state, hyper, rng: rng.gamma(
-                hyper.a2 + 0.5,
-                1.0 / (hyper.b2 + 0.5 * state.lam_theta * (state.theta - state.mu) ** 2)),
-        )
-        monkeypatch.setattr(
-            random_effects, "draw_observation_precisions",
-            lambda state, hyper, y, rng: rng.gamma(
-                hyper.a3 + 0.5, 1.0 / (hyper.b3 + 0.5 * (y - state.theta) ** 2)),
-        )
-        want = gibbs_random_effects(y, n=2000, seed=81).values
+        want = _reference_chain(y, RandomEffectsHyper(), 2000, np.random.default_rng(81),
+                                draw_locations=_dense_draw_locations)
         # entries near zero carry the absolute rounding of their O(1) inputs
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -411,19 +467,98 @@ class TestGammaDraws:
         state = _random_state(np.random.default_rng(82), K)
         y = np.random.default_rng(83).standard_normal(K)
         draws = (
-            (lambda rng: draw_component_precisions(state, hyper, rng),
-             hyper.a2 + 0.5,
+            (GibbsSweep.draw_component_precisions, "lam", hyper.a2 + 0.5,
              hyper.b2 + 0.5 * state.lam_theta * (state.theta - state.mu) ** 2),
-            (lambda rng: draw_observation_precisions(state, hyper, y, rng),
-             hyper.a3 + 0.5,
+            (GibbsSweep.draw_observation_precisions, "gam", hyper.a3 + 0.5,
              hyper.b3 + 0.5 * (y - state.theta) ** 2),
         )
-        for draw, shape, rates in draws:
+        for draw, block, shape, rates in draws:
             a = np.random.default_rng(84)
             b = np.random.default_rng(84)
+            sweep = GibbsSweep(y, hyper, state, a)
+            # the rates stay fixed: a block is not an input of its own conditional
             for _ in range(20):
-                assert np.array_equal(draw(a), b.gamma(shape, 1.0 / rates))
-            assert a.random() == b.random()
+                draw(sweep)
+                assert np.array_equal(getattr(sweep, block), b.gamma(shape, 1.0 / rates))
+            assert _same_state(a.bit_generator.state, b.bit_generator.state)
+
+
+class TestSweepStream:
+    # Hashes of gibbs_random_effects(simulate_dataset(K, 0), n=5000, seed=s)
+    # recorded from the per-iteration loop that rng.integers(4) drove; the
+    # sweep keeps its random stream and its arithmetic, so its chains match.
+    CHAIN_SHA256 = {
+        (1, 1): "a64e18d5c550d78637fe98d634e7a716463a04e89bbf33496e77688b4a8cc08a",
+        (1, 2): "5d576c09904e73f592f14eae3b5802caa66de9390ad081c36286a0bd3110555b",
+        (1, 3): "7eb2a4b06040b9dac4456cb087ca3846e6c99f19cf708a19d43d0ab47c4b6025",
+        (2, 1): "623a4e2f56931ebb3862b32d2151ef2606353ab57dcacdad483bef96c8c4494c",
+        (2, 2): "a0ae63b866915ea7c6eb98a9fd36b0becdd4617c9238480c20809a95bfa7848a",
+        (2, 3): "c8ee840a731b2ed2d6199ec2bc76d6e3bc20fa68fee4166398053684c7e89b5a",
+        (21, 1): "177bc97547d9f67d105d2cdd12a82a068426d9f3a60cbe6499d96a778fd04061",
+        (21, 2): "459c9a5c861a663f4657c9d2e0cf45fa6831f72873cc8652ccabb242985c03eb",
+        (21, 3): "505dcaf86a5f18f8023d0eb7f16559a61bed0ffd0c2f955a9bde6a8a435dea0f",
+    }
+
+    @pytest.mark.parametrize("K, seed", sorted(CHAIN_SHA256))
+    def test_chain_bytes_pinned(self, K, seed):
+        values = gibbs_random_effects(simulate_dataset(K, 0), n=5000, seed=seed).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == self.CHAIN_SHA256[K, seed]
+
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+    def test_passed_generator_ends_in_the_reference_state(self, bit_generator):
+        y = simulate_dataset(5, seed=0)
+        a = np.random.Generator(bit_generator(86))
+        b = np.random.Generator(bit_generator(86))
+        got = gibbs_random_effects(y, n=3001, seed=a).values
+        want = _reference_chain(y, RandomEffectsHyper(), 3001, b)
+        assert got.tobytes() == want.tobytes()
+        assert _same_state(a.bit_generator.state, b.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+    def test_top_bits_of_next_uint32_are_integers_4(self, bit_generator):
+        # The sweep picks its block as next_uint32 >> 30 through the bit
+        # generator's ctypes interface, relying on numpy's rng.integers(4)
+        # being Lemire's bounded draw on exactly one next_uint32 that shares
+        # the generator's half-word cache.  If a numpy release changes that
+        # routine, this is the test that fails.
+        a = np.random.Generator(bit_generator(87))
+        b = np.random.Generator(bit_generator(87))
+        bits = a.bit_generator.ctypes
+        pattern = np.random.default_rng(88).integers(4, size=3000)
+        for kind in pattern:
+            if kind == 0:
+                assert bits.next_uint32(bits.state) >> 30 == int(b.integers(4))
+            elif kind == 1:
+                assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+            elif kind == 2:
+                assert a.standard_gamma(0.6, size=2).tobytes() == b.standard_gamma(0.6, size=2).tobytes()
+            else:
+                assert a.standard_gamma(2.5) == b.standard_gamma(2.5)
+            assert _same_state(a.bit_generator.state, b.bit_generator.state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(1, 40),
+        shapes=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+        rates=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+        m0=st.floats(-10.0, 10.0),
+        v0=st.floats(1e-4, 10.0),
+        y_seed=st.integers(0, 2**32 - 1),
+        y_scale=st.floats(0.01, 20.0),
+        seed=st.integers(0, 2**63 - 1),
+        bit_generator=st.sampled_from(_BIT_GENERATORS),
+        n=st.integers(1, 300),
+    )
+    def test_sweep_matches_reference_loop(self, K, shapes, rates, m0, v0, y_seed,
+                                          y_scale, seed, bit_generator, n):
+        hyper = RandomEffectsHyper(*shapes, *rates, m0=m0, v0=v0)
+        y = y_scale * np.random.default_rng(y_seed).standard_normal(K)
+        a = np.random.Generator(bit_generator(seed))
+        b = np.random.Generator(bit_generator(seed))
+        got = gibbs_random_effects(y, hyper, n, seed=a).values
+        want = _reference_chain(y, hyper, n, b)
+        assert got.tobytes() == want.tobytes()
+        assert _same_state(a.bit_generator.state, b.bit_generator.state)
 
 
 class TestGibbsSampler:
