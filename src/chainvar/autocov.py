@@ -28,10 +28,6 @@ class MomentOverflowError(ValueError):
                 f"rescale the chain")
 
 
-def _centered(chain: Chain) -> np.ndarray:
-    return chain.values - chain.mean
-
-
 def _locked(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -53,14 +49,13 @@ def autocov(chain: Chain, t: int) -> np.ndarray:
     """Lag-t empirical autocovariance matrix (divisor n).
 
     Generally nonsymmetric for t >= 1; the lag-0 matrix is symmetric
-    positive semi-definite by its Gram structure.  At lag 0, a mean or
+    positive semi-definite by its Gram structure.  At every lag, a mean or
     variance that overflows raises :class:`MomentOverflowError`.
     """
     if not 0 <= t <= chain.n - 1:
         raise ValueError(f"lag t={t} out of range [0, {chain.n - 1}]")
-    if t == 0:
-        return _lag0(chain)[2]
-    return _cross_lag(_centered(chain), t)
+    _, centered, g0 = _lag0(chain)
+    return g0 if t == 0 else _cross_lag(centered, t)
 
 
 def _lag0(chain: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,7 +69,7 @@ def _lag0(chain: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mean = chain.mean
         if not np.isfinite(mean).all():
             raise MomentOverflowError("mean", int(np.argmin(np.isfinite(mean))))
-        centered = _centered(chain)
+        centered = chain.values - mean
         g0 = symmetrize(_cross_lag(centered, 0))
     if not np.isfinite(g0).all():
         # by Cauchy-Schwarz a cross product overflows only where one of

@@ -121,9 +121,10 @@ def save_chain(chain: Chain, path, format: str = "bin") -> None:
     """
     path = Path(path)
     if format == "bin":
-        header = np.array([chain.n, chain.p], dtype=_HEADER_DTYPE).tobytes()
-        payload = np.ascontiguousarray(chain.values, dtype=_VALUE_DTYPE).tobytes()
-        path.write_bytes(header + payload)
+        # the payload goes out from the array's own buffer, never a copy of it
+        with path.open("wb") as fh:
+            fh.write(np.array([chain.n, chain.p], dtype=_HEADER_DTYPE).tobytes())
+            fh.write(np.ascontiguousarray(chain.values, dtype=_VALUE_DTYPE).data)
     elif format == "csv":
         _save_csv(chain.values, path)
     else:

@@ -34,7 +34,6 @@ from .symmat import (
     pd_from_eigenvalues,
     positive_part,
     signed_logdet,
-    signed_logdet_greater,
 )
 
 ChainOrPairs = Union[Chain, LagPairSequence]
@@ -86,15 +85,11 @@ class UvEstimate:
         return not self.degenerate and self.sigma2 > 0.0
 
 
-def _as_pairs(chain: ChainOrPairs) -> LagPairSequence:
-    if isinstance(chain, LagPairSequence):
-        return chain
-    return LagPairSequence(chain)
-
-
-def _require_pairs_available(pairs: LagPairSequence, method: str) -> None:
+def _pairs_for(chain: ChainOrPairs, method: str) -> LagPairSequence:
+    pairs = chain if isinstance(chain, LagPairSequence) else LagPairSequence(chain)
     if pairs.max_index < 0:
         raise ValueError(f"{method} needs n >= 2, got n={pairs.n}")
+    return pairs
 
 
 def _estimate(method: str, sigma: np.ndarray, s_n: int | None, t_n: int,
@@ -110,12 +105,12 @@ def _estimate(method: str, sigma: np.ndarray, s_n: int | None, t_n: int,
 def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int]:
     """Shared mis/misadj truncation scan.
 
-    Returns (s_n, t_n).  The determinant run uses sign-aware comparisons
-    so that a sum that loses definiteness mid-run is still compared
-    correctly.  A chain with a constant column, or whose lag-0
-    autocovariance fails the positive-definite test, fails before any
-    pair is materialized: a null vector of gamma0 is a null vector of
-    every lag matrix.  Spectra come from ``pairs``, which computes each
+    Returns (s_n, t_n).  The run starts at a positive definite sum, so
+    the best determinant so far is always positive, and a later sum
+    extends the run only when its determinant is positive and larger.  A
+    chain with a constant column, or whose lag-0 autocovariance fails the
+    positive-definite test, fails before any pair is materialized: a null
+    vector of gamma0 is a null vector of every lag matrix.  Spectra come from ``pairs``, which computes each
     once, so a second scan of the same sequence decomposes nothing.
     """
     if pairs.constant_columns:
@@ -140,13 +135,13 @@ def _scan_initial_sequence(pairs: LagPairSequence) -> tuple[int, int]:
             f"m in [0, {pairs.max_index}]; the chain (n={pairs.n}) is too short"
         )
     t_n = s_n
-    best = signed_logdet(pairs.partial_sum_eigenvalues(s_n))
+    _, best = signed_logdet(pairs.partial_sum_eigenvalues(s_n))
     for m in range(s_n + 1, pairs.max_index + 1):
-        cur = signed_logdet(pairs.partial_sum_eigenvalues(m))
-        if not signed_logdet_greater(cur, best):
+        sign, logabs = signed_logdet(pairs.partial_sum_eigenvalues(m))
+        if not (sign > 0 and logabs > best):
             break
         t_n = m
-        best = cur
+        best = logabs
     return s_n, t_n
 
 
@@ -156,8 +151,7 @@ def mis(chain: ChainOrPairs) -> MvEstimate:
     Raises :class:`NoPositiveDefinitePartialSum` when no truncated sum is
     positive definite (existence is only guaranteed asymptotically).
     """
-    pairs = _as_pairs(chain)
-    _require_pairs_available(pairs, "mis")
+    pairs = _pairs_for(chain, "mis")
     s_n, t_n = _scan_initial_sequence(pairs)
     return _estimate("mis", pairs.partial_sum(t_n), s_n, t_n,
                      pairs.partial_sum_eigenvalues(t_n))
@@ -170,8 +164,7 @@ def misadj(chain: ChainOrPairs) -> MvEstimate:
     each pair beyond s_n, so the estimate is positive definite and its
     determinant is at least that of ``mis`` whenever ``mis`` is PSD.
     """
-    pairs = _as_pairs(chain)
-    _require_pairs_available(pairs, "misadj")
+    pairs = _pairs_for(chain, "misadj")
     s_n, t_n = _scan_initial_sequence(pairs)
     sigma = pairs.partial_sum(s_n).copy()
     for i in range(s_n + 1, t_n + 1):
@@ -188,8 +181,7 @@ def mk(chain: ChainOrPairs) -> MvEstimate:
     positivity.  When the first pair already fails, the result is a
     degenerate fallback to the lag-0 autocovariance with ``t_n == -1``.
     """
-    pairs = _as_pairs(chain)
-    _require_pairs_available(pairs, "mk")
+    pairs = _pairs_for(chain, "mk")
     t_n = -1
     for i in range(pairs.max_index + 1):
         if not pd_from_eigenvalues(eigenvalues_sym(pairs.pair(i))):
@@ -210,8 +202,7 @@ def uis(chain: ChainOrPairs) -> UvEstimate:
     """
     if chain.p != 1:
         raise ValueError(f"uis requires a univariate chain, got p={chain.p}")
-    pairs = _as_pairs(chain)
-    _require_pairs_available(pairs, "uis")
+    pairs = _pairs_for(chain, "uis")
     if not float(pairs.pair(0)[0, 0]) > 0.0:
         return UvEstimate(float(pairs.gamma0[0, 0]), -1, degenerate=True)
     t_n = 0

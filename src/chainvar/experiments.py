@@ -7,7 +7,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -55,6 +55,10 @@ class ExperimentConfig:
             raise ValueError(f"need n >= 4, got {self.n}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        for name in ("model_params", "truth"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"config field {name!r} must be a JSON object, "
+                                 f"got {type(getattr(self, name)).__name__}")
         self.methods = tuple(self.methods)
         self.regions = tuple(self.regions)
         if not self.methods:
@@ -79,6 +83,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config a JSON object describes; a key that fits no field raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"an experiment config must be a JSON object, "
+                             f"got {type(d).__name__}")
+        known = [f.name for f in fields(cls)]
+        unknown = [key for key in d if key not in known]
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}; expected from {known}")
+        if "model" not in d:
+            raise ValueError("an experiment config needs the key 'model'")
         return cls(**d)
 
 

@@ -29,12 +29,16 @@ class Ar1Params:
     """Coefficient matrix, innovation covariance, and innovation mean.
 
     Validated on construction: ``A V`` symmetric to 1e-12 (the
-    detailed-balance condition) and spectral radius of A below one.
+    detailed-balance condition) and spectral radius of A below one.  The
+    decoupling of :func:`_modes` that the check computes is kept for
+    :func:`ar1_truth` and :func:`ar1_simulate`.
     """
 
     A: np.ndarray
     V: np.ndarray
     theta: np.ndarray
+    _decays: np.ndarray = field(init=False, repr=False, compare=False)
+    _basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
@@ -55,12 +59,15 @@ class Ar1Params:
             raise ValueError(
                 f"A V must be symmetric for reversibility (max asymmetry {skew:.3e})"
             )
-        d, _, _ = _modes(A, V)
+        d, basis = _modes(A, V)
         if np.abs(d).max() >= 1.0:
             raise ValueError(f"spectral radius of A must be < 1, got {np.abs(d).max()}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "theta", theta)
+        # every Ar1Truth of these params shares the two arrays
+        d.setflags(write=False)
+        basis.setflags(write=False)
+        for name, value in (("A", A), ("V", V), ("theta", theta),
+                            ("_decays", d), ("_basis", basis)):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -79,10 +86,10 @@ class Ar1Params:
         return cls(a, np.eye(p), np.ones(p))
 
 
-def _modes(A: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonalize the process: return (d, B, L) with A = B diag(d) B^{-1}.
+def _modes(A: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize the process: return (d, B) with A = B diag(d) B^{-1}.
 
-    ``L`` is the lower Cholesky factor of V and ``B = L Q`` where Q holds
+    ``B = L Q``, where L is the lower Cholesky factor of V and Q holds
     the (orthonormal) eigenvectors of the symmetric matrix L^{-1} A L:
     symmetry of that matrix is exactly the detailed-balance condition, so
     d is real.  In B-coordinates the process decouples into independent
@@ -91,7 +98,7 @@ def _modes(A: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     L = np.linalg.cholesky(V)
     m = solve_triangular(L, A @ L, lower=True)
     d, q = np.linalg.eigh(symmetrize(m))
-    return d, L @ q, L
+    return d, L @ q
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,8 @@ class Ar1Truth:
     """Closed-form moments of the stationary process.
 
     ``mu`` is the stationary mean, ``C`` the stationary covariance, and
-    ``Sigma`` the long-run covariance of the sample mean.  ``gamma``,
+    ``Sigma`` the long-run covariance of the sample mean; the last two are
+    assembled from ``decays`` and the basis on construction.  ``gamma``,
     ``pair_sum`` and ``partial_sum`` give the lag-t autocovariance, the
     adjacent-pair sums and their truncated totals, all evaluated through
     the spectral decomposition of A so that arbitrarily fast-decaying
@@ -107,10 +115,15 @@ class Ar1Truth:
     """
 
     mu: np.ndarray
-    C: np.ndarray
-    Sigma: np.ndarray
+    C: np.ndarray = field(init=False)
+    Sigma: np.ndarray = field(init=False)
     decays: np.ndarray
     _basis: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        long_run = 2.0 * (1.0 / (1.0 - self.decays)) - 1.0
+        object.__setattr__(self, "C", self.gamma(0))
+        object.__setattr__(self, "Sigma", self._assemble(long_run * self._mode_c()))
 
     def _assemble(self, mode_values: np.ndarray) -> np.ndarray:
         b = self._basis
@@ -146,14 +159,8 @@ def ar1_truth(params: Ar1Params) -> Ar1Truth:
     ``X_{k+1} = A X_k + U`` implies; the long-run covariance is validated
     against the simulated long-run variance.
     """
-    d, basis, _ = _modes(params.A, params.V)
-    eye_minus_a = np.eye(params.p) - params.A
-    mu = np.linalg.solve(eye_minus_a, params.theta)
-    mode_c = 1.0 / (1.0 - d**2)
-    geom = 1.0 / (1.0 - d)
-    c = symmetrize((basis * mode_c) @ basis.T)
-    sigma = symmetrize((basis * ((2.0 * geom - 1.0) * mode_c)) @ basis.T)
-    return Ar1Truth(mu, c, sigma, d, basis)
+    mu = np.linalg.solve(np.eye(params.p) - params.A, params.theta)
+    return Ar1Truth(mu, params._decays, params._basis)
 
 
 def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
@@ -167,8 +174,7 @@ def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = as_generator(seed)
-    d, basis, L = _modes(params.A, params.V)
-    p = params.p
+    d, basis, p = params._decays, params._basis, params.p
     # innovation mean and X_0 in decoupled coordinates
     wbar = np.linalg.solve(basis, params.theta)
     z0 = wbar / (1.0 - d) + rng.standard_normal(p) / np.sqrt(1.0 - d**2)

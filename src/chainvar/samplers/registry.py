@@ -3,6 +3,7 @@ JSON-style parameters into a seeded simulator."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import partial
 from typing import Callable
 
@@ -18,6 +19,12 @@ MODELS = ("ar1", "logistic", "ranef")
 
 # simulate(n, seed) -> (chain, sampler statistics worth reporting by name)
 Simulator = Callable[[int, SeedLike], tuple[Chain, dict]]
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _require(params: dict, key: str, kind: str):
@@ -62,6 +69,7 @@ def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
     ``simulate`` is a module-level function with its model bound by
     ``functools.partial``, so it pickles and a process pool can run it.
     """
+    params = _json_object(params, f"{model} parameters")
     if model == "ar1":
         ar1 = _ar1_params(params)
         return partial(_ar1_run, ar1), ar1_truth(ar1).mu
@@ -69,7 +77,12 @@ def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
         data = load_logit_data(params.get("data_path"))
         return partial(_rwm_run, data, float(params.get("step_sd", 0.3))), None
     if model == "ranef":
-        hyper = RandomEffectsHyper(**params.get("hyper", {}))
+        hyper = _json_object(params.get("hyper", {}), "ranef 'hyper'")
+        known = [f.name for f in fields(RandomEffectsHyper)]
+        unknown = [key for key in hyper if key not in known]
+        if unknown:
+            raise ValueError(f"unknown ranef hyper key {unknown[0]!r}; expected from {known}")
+        hyper = RandomEffectsHyper(**hyper)
         if "y" in params:
             y = np.asarray(params["y"], dtype=np.float64)
         else:

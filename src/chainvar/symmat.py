@@ -113,19 +113,6 @@ def signed_logdet(w: np.ndarray) -> tuple[int, float]:
     return sign, float(np.log(np.abs(w)).sum())
 
 
-def signed_logdet_greater(a: tuple[int, float], b: tuple[int, float]) -> bool:
-    """Whether determinant a exceeds determinant b, both as (sign, log|det|)."""
-    sign_a, log_a = a
-    sign_b, log_b = b
-    if sign_a != sign_b:
-        return sign_a > sign_b
-    if sign_a == 0:
-        return False
-    if sign_a > 0:
-        return log_a > log_b
-    return log_a < log_b
-
-
 def positive_part(m: np.ndarray) -> np.ndarray:
     """Clamp the negative eigenvalues of a symmetric matrix to zero.
 

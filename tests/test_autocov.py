@@ -1,9 +1,11 @@
 """Autocovariance engine against hand values and a brute-force oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from chainvar import Chain, LagPairSequence, autocov, symmetrize
+from chainvar import Chain, LagPairSequence, MomentOverflowError, autocov, symmetrize
 
 
 def brute_autocov(values, t):
@@ -128,6 +130,23 @@ class TestProperties:
                 b @ autocov(Chain(values), t) @ b.T,
                 atol=1e-10,
             )
+
+
+@pytest.mark.parametrize("lag", [0, 1, 499], ids=["0", "1", "n-1"])
+@pytest.mark.parametrize("moment", ["variance", "mean"])
+def test_overflowing_moment_names_its_column_at_every_lag(moment, lag):
+    # finite values whose squares (or, near the largest double, whose sum)
+    # overflow: column c2 is named at every lag, never a numpy warning
+    values = np.random.default_rng(8).standard_normal((500, 4))
+    if moment == "variance":
+        values[:, 1] *= 2.0**520
+    else:
+        values[:, 1] = 1.6e308 * (1.0 - 0.01 * np.abs(values[:, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MomentOverflowError) as info:
+            autocov(Chain(values), lag)
+    assert str(info.value) == f"the {moment} of column c2 overflows; rescale the chain"
 
 
 class TestLagPairSequence:

@@ -53,6 +53,15 @@ def test_bin_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(back.values, chain.values)
 
 
+@pytest.mark.parametrize("p", [1, 12])
+def test_bin_bytes_are_the_header_then_the_values(tmp_path, p):
+    values = np.random.default_rng(p).standard_normal((257, p))
+    path = tmp_path / "c.bin"
+    save_chain(Chain(values), path, "bin")
+    header = np.array([257, p], dtype="<u8").tobytes()
+    assert path.read_bytes() == header + values.astype("<f8").tobytes()
+
+
 def test_csv_roundtrip_17_digits(tmp_path):
     # 17 significant digits round-trip any double exactly; 0.1 is the
     # classic non-representable decimal.
@@ -195,10 +204,12 @@ _WHOLE_BODY_OUTCOMES = {
 # CRLF files take the run-length path itself
 _CRLF = ("c1,c2\r\n1,2\r\n1,2\r\n-0,0\r\n0,0\r\n0,0\r\n",
          [[1.0, 2.0], [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+# rows of one width that disagree with the header
+_WIDE_ROWS = ("c1,c2\n1,2,3\n1,2,3\n", "{path}: header declares 2 columns, data has 3")
 
 
-@pytest.mark.parametrize("text, outcome", [*_WHOLE_BODY_OUTCOMES.values(), _CRLF],
-                         ids=[*_WHOLE_BODY_OUTCOMES, "crlf line endings"])
+@pytest.mark.parametrize("text, outcome", [*_WHOLE_BODY_OUTCOMES.values(), _CRLF, _WIDE_ROWS],
+                         ids=[*_WHOLE_BODY_OUTCOMES, "crlf line endings", "rows wider than header"])
 def test_csv_edge_cases_load_as_one_whole_body_parse(tmp_path, text, outcome):
     path = tmp_path / "c.csv"
     path.write_bytes(text.encode())

@@ -268,6 +268,26 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, payload, named", [
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "replication": 2}, "'replication'"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "truth": "analytic"}, "'truth'"),
+    (("simulate", "--model", "ar1", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), [1, 2], "ar1 parameters must be a JSON object"),
+    (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"hyper": {"a0": 1.0}}, "'a0'"),
+], ids=["unknown config key", "truth not an object", "params not an object",
+        "unknown hyper key"])
+def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = str(tmp_path / "out.csv")
+    assert run_cli(*(a.format(json=path, out=out) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_stdout_output(ar1_chain_file, capsys):
     assert run_cli("estimate", "--method", "mk", "--input", str(ar1_chain_file)) == 0
     payload = json.loads(capsys.readouterr().out)

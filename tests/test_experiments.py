@@ -103,6 +103,16 @@ class TestRunReplications:
         ]
         assert len(failed) == mis_row.fail_count
 
+    def test_constant_chain_fails_every_row(self):
+        # a random walk whose steps are never accepted stays at its start
+        cfg = ExperimentConfig(model="logistic", model_params={"step_sd": 1e6}, n=200,
+                               replications=2, truth={"kind": "external", "vector": [0.0] * 5},
+                               master_seed=1)
+        report = run_replications(cfg)
+        assert [(row.fail_count, row.n_success) for row in report.table] == [(2, 0)] * 5
+        for rec in report.records:
+            assert rec["methods"]["mk"] == {"failed": "NotPositiveDefiniteError: degenerate estimate"}
+
     def test_method_subsets(self):
         report = run_replications(scalar_config(methods=("mis",)))
         assert [row.method for row in report.table] == ["mis"]

@@ -4,6 +4,7 @@ random walk sampler, and the random effects Gibbs sampler."""
 import hashlib
 import math
 import pickle
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from chainvar import (
     uis,
 )
 from chainvar.samplers import MODELS, build
+from chainvar.samplers import ar1 as ar1_module
 from chainvar.samplers.ar1 import _modes
 from chainvar.samplers.logistic import generate_logit_data, log_prior
 from chainvar.samplers.random_effects import (
@@ -166,7 +168,7 @@ class TestAr1Simulate:
     def test_matches_naive_recursion(self):
         # the decoupled filter must agree with a direct state-space loop
         params = Ar1Params.hadamard_fixture(4)
-        d, basis, _ = _modes(params.A, params.V)
+        d, basis = _modes(params.A, params.V)
         rng = np.random.default_rng(10)
         wbar = np.linalg.solve(basis, params.theta)
         z0 = wbar / (1.0 - d) + rng.standard_normal(4) / np.sqrt(1.0 - d**2)
@@ -182,6 +184,20 @@ class TestAr1Simulate:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             ar1_simulate(Ar1Params.scalar(0.5), 0, seed=1)
+
+    def test_modes_are_computed_once_per_params(self, monkeypatch):
+        # truth and simulation read the decoupling that validation computed,
+        # also on params that crossed a pickle (as for a worker process)
+        params = Ar1Params.hadamard_fixture(4)
+        expected = ar1_simulate(params, 50, seed=3).values
+
+        def fail(A, V):
+            raise AssertionError("_modes ran after the params were built")
+
+        monkeypatch.setattr(ar1_module, "_modes", fail)
+        for p in (params, pickle.loads(pickle.dumps(params))):
+            ar1_truth(p)
+            assert np.array_equal(ar1_simulate(p, 50, seed=3).values, expected)
 
 
 class TestLogisticPosterior:
@@ -617,3 +633,17 @@ def test_built_simulator_pickles(model):
     chain_again, stats_again = again(500, 3)
     assert np.array_equal(chain_again.values, chain.values)
     assert stats_again == stats
+
+
+@pytest.mark.parametrize("model, default, explicit", [
+    ("logistic", {}, {"data_path": "{csv}"}),
+    ("ranef", {"K": 2}, {"y": simulate_dataset(2, 0).tolist()}),
+], ids=["logistic data_path", "ranef y"])
+def test_explicit_data_builds_the_default_simulator(model, default, explicit, tmp_path):
+    # the packaged logistic data written to a file, and ranef's K=2 data set given as y
+    csv = tmp_path / "logit.csv"
+    csv.write_text((files("chainvar") / "data" / "logit_synthetic.csv").read_text())
+    explicit = {key: str(csv) if value == "{csv}" else value for key, value in explicit.items()}
+    a, _ = build(model, default)[0](300, 4)
+    b, _ = build(model, explicit)[0](300, 4)
+    assert np.array_equal(a.values, b.values)

@@ -7,7 +7,6 @@ from chainvar import eigen_sym, is_pd, logdet_pd, positive_part, symmetrize
 from chainvar.symmat import (
     NotPositiveDefiniteError,
     signed_logdet,
-    signed_logdet_greater,
 )
 
 
@@ -150,7 +149,7 @@ class TestEigenvalueMonotonicity:
             assert np.all(wa > wb)
             sa, la = signed_logdet(wa)
             sb, lb = signed_logdet(wb)
-            assert signed_logdet_greater((sa, la), (sb, lb))
+            assert sa == sb == 1 and la > lb
 
 
 class TestSignedLogdet:
@@ -159,16 +158,3 @@ class TestSignedLogdet:
         assert signed_logdet(np.array([-1.0, 2.0]))[0] == -1
         assert signed_logdet(np.array([-1.0, -2.0]))[0] == 1
         assert signed_logdet(np.array([0.0, 2.0])) == (0, float("-inf"))
-
-    def test_comparison_semantics(self):
-        pos_small = (1, -5.0)
-        pos_big = (1, 2.0)
-        neg_small = (-1, 2.0)   # -e^2
-        neg_tiny = (-1, -5.0)   # -e^-5
-        zero = (0, float("-inf"))
-        assert signed_logdet_greater(pos_big, pos_small)
-        assert signed_logdet_greater(pos_small, zero)
-        assert signed_logdet_greater(zero, neg_tiny)
-        assert signed_logdet_greater(neg_tiny, neg_small)
-        assert not signed_logdet_greater(zero, zero)
-        assert not signed_logdet_greater(neg_small, pos_small)
