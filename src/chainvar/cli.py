@@ -28,13 +28,6 @@ from .samplers import MODELS, build
 _DEFAULT_PARAMS = {"ar1": {"kind": "hadamard", "p": 12}}
 
 
-def _load_params(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _write_json(payload: dict, path: str | None) -> None:
     with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2)
@@ -42,7 +35,11 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    params = _load_params(args.params) or _DEFAULT_PARAMS.get(args.model, {})
+    if args.params is None:
+        params = _DEFAULT_PARAMS.get(args.model, {})
+    else:
+        with open(args.params) as fh:
+            params = json.load(fh)
     simulate, _ = build(args.model, params)
     chain, sampler_stats = simulate(args.n, args.seed)
     for name, value in sampler_stats.items():

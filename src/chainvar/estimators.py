@@ -21,11 +21,13 @@ CLT for the vector of sample means:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .autocov import LagPairSequence, MomentOverflowError
 from .chain import Chain
 from .symmat import (
@@ -193,6 +195,48 @@ def mk(chain: ChainOrPairs) -> MvEstimate:
                      pairs.partial_sum_eigenvalues(t_n))
 
 
+def _uis_scan(centered: np.ndarray, column: int) -> UvEstimate:
+    """Initial positive sequence scan of one contiguous centered column.
+
+    Each lag and sum is the scalar form of the one-column
+    :class:`LagPairSequence`'s (the same operations in the same order),
+    so the estimate is bit-for-bit that of its pairs and partial sums.
+    Run under :func:`single_threaded_blas`, as every one-column lag is.
+    """
+    n = centered.shape[0]
+    if n < 2:
+        raise ValueError(f"uis needs n >= 2, got n={n}")
+
+    def sym_lag(t: int) -> float:
+        v = float(np.dot(centered[: n - t], centered[t:]) / n)
+        return (v + v) / 2.0
+
+    with np.errstate(over="ignore"):
+        gamma0 = sym_lag(0)
+    if not math.isfinite(gamma0):
+        raise MomentOverflowError("variance", column)
+    pair = gamma0 + sym_lag(1)
+    if not pair > 0.0:
+        return UvEstimate(gamma0, -1, degenerate=True)
+    t_n, partial = 0, -gamma0 + 2.0 * pair
+    for i in range(1, n // 2):
+        pair = sym_lag(2 * i) + sym_lag(2 * i + 1)
+        if not pair > 0.0:
+            break
+        t_n, partial = i, partial + 2.0 * pair
+    return UvEstimate(partial, t_n)
+
+
+def _centered_column(values: np.ndarray, column: int) -> np.ndarray:
+    """A contiguous copy of one column, centered as its one-column chain is."""
+    x = values[:, column: column + 1].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        if not np.isfinite(mean[0]):
+            raise MomentOverflowError("mean", column)
+        return (x - mean).ravel()
+
+
 def uis(chain: ChainOrPairs) -> UvEstimate:
     """Initial positive sequence estimate of the long-run variance (p = 1).
 
@@ -202,15 +246,10 @@ def uis(chain: ChainOrPairs) -> UvEstimate:
     """
     if chain.p != 1:
         raise ValueError(f"uis requires a univariate chain, got p={chain.p}")
-    pairs = _pairs_for(chain, "uis")
-    if not float(pairs.pair(0)[0, 0]) > 0.0:
-        return UvEstimate(float(pairs.gamma0[0, 0]), -1, degenerate=True)
-    t_n = 0
-    for i in range(1, pairs.max_index + 1):
-        if not float(pairs.pair(i)[0, 0]) > 0.0:
-            break
-        t_n = i
-    return UvEstimate(float(pairs.partial_sum(t_n)[0, 0]), t_n)
+    with single_threaded_blas():
+        if isinstance(chain, LagPairSequence):
+            return _uis_scan(chain._centered[:, 0], 0)
+        return _uis_scan(_centered_column(chain.values, 0), 0)
 
 
 def uis_components(chain: Chain) -> list[UvEstimate]:
@@ -221,13 +260,8 @@ def uis_components(chain: Chain) -> list[UvEstimate]:
     coordinate whose moments overflow raises :class:`MomentOverflowError`
     naming its column of ``chain``.
     """
-    estimates = []
-    for j in range(chain.p):
-        try:
-            estimates.append(uis(chain.column(j)))
-        except MomentOverflowError as exc:
-            raise MomentOverflowError(exc.moment, j) from None
-    return estimates
+    with single_threaded_blas():
+        return [_uis_scan(_centered_column(chain.values, j), j) for j in range(chain.p)]
 
 
 # Estimators of the full p-by-p long-run covariance, by method name.

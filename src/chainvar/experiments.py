@@ -9,6 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from numbers import Integral, Real
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -49,6 +50,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        for name, kind, what in (("n", Integral, "an integer"),
+                                 ("replications", Integral, "an integer"),
+                                 ("level", Real, "a number"),
+                                 ("master_seed", Integral, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config field {name!r} must be {what}, "
+                                 f"got {type(value).__name__}")
         if self.replications < 1:
             raise ValueError(f"need replications >= 1, got {self.replications}")
         if self.n < 4:

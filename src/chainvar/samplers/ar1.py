@@ -178,8 +178,13 @@ def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
     # innovation mean and X_0 in decoupled coordinates
     wbar = np.linalg.solve(basis, params.theta)
     z0 = wbar / (1.0 - d) + rng.standard_normal(p) / np.sqrt(1.0 - d**2)
-    w = rng.standard_normal((n, p)) + wbar
-    z = np.empty((n, p))
+    # innovations are drawn row by row, shifted and transposed in one pass;
+    # each mode is then filtered in place as one contiguous row
+    w = np.add(rng.standard_normal((n, p)).T, wbar[:, None], out=np.empty((p, n)))
     for k in range(p):
-        z[:, k], _ = lfilter([1.0], [1.0, -d[k]], w[:, k], zi=[d[k] * z0[k]])
+        w[k], _ = lfilter([1.0], [1.0, -d[k]], w[k], zi=[d[k] * z0[k]])
+    # mapped back from row-major modes: a product over another layout can
+    # round differently
+    z = np.ascontiguousarray(w.T)
+    del w
     return Chain._adopt(z @ basis.T)

@@ -21,7 +21,8 @@ small vector operations whichever block it picks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -43,6 +44,11 @@ class RandomEffectsHyper:
     v0: float = 0.001
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"hyperparameter {f.name} must be a number, "
+                                 f"got {type(value).__name__}")
         for name in ("a1", "a2", "a3", "b1", "b2", "b3", "v0"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"hyperparameter {name} must be > 0")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chainvar import Chain, LagPairSequence, MomentOverflowError, autocov, symmetrize
+from chainvar._blas import single_threaded_blas
 
 
 def brute_autocov(values, t):
@@ -187,3 +188,35 @@ class TestLagPairSequence:
             pairs.pair(5)
         with pytest.raises(ValueError):
             pairs.partial_sum(5)
+
+
+def row_major_lag(centered, t):
+    """Reference: one lag product over a row-major centered copy."""
+    n = centered.shape[0]
+    if centered.shape[1] == 1:
+        with single_threaded_blas():
+            return centered[: n - t].T @ centered[t:] / n
+    return centered[: n - t].T @ centered[t:] / n
+
+
+@pytest.mark.parametrize("n, p, checked", [(2, 1, None), (7, 3, None), (1000, 5, None),
+                                           (20_000, 65, 8)])
+def test_pairs_match_a_row_major_reference(n, p, checked, blas_threads):
+    # every pair and partial sum (only the first `checked` at 2e4 x 65, to
+    # bound the test's time), and the last lags, bit for bit
+    rng = np.random.default_rng(n + p)
+    values = rng.standard_normal((n, p)).cumsum(axis=0) * 0.1 + rng.uniform(-50, 50, p)
+    chain = Chain(values)
+    pairs = LagPairSequence(chain)
+    centered = chain.values - chain.mean
+    gamma0 = symmetrize(row_major_lag(centered, 0))
+    assert pairs.gamma0.tobytes() == gamma0.tobytes()
+    partial = -gamma0
+    for i in range(pairs.max_index + 1 if checked is None else checked):
+        pair = gamma0 if i == 0 else symmetrize(row_major_lag(centered, 2 * i))
+        pair = pair + symmetrize(row_major_lag(centered, 2 * i + 1))
+        partial = partial + 2.0 * pair
+        assert pairs.pair(i).tobytes() == pair.tobytes(), f"pair {i}"
+        assert pairs.partial_sum(i).tobytes() == partial.tobytes(), f"partial sum {i}"
+    for t in {n // 2, n - 2, n - 1} - {0}:
+        assert autocov(chain, t).tobytes() == row_major_lag(centered, t).tobytes(), f"lag {t}"

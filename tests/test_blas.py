@@ -124,18 +124,30 @@ with open(f"{out}_analyst.txt", "w") as fh:
 
 def test_reports_identical_across_blas_threads_and_workers(tmp_path):
     src = str(Path(chainvar.__file__).resolve().parents[1])
+    runs = [(1, 1, "fork"), (1, 2, "fork"), (2, 1, "fork"),
+            (2, 2, "fork"), (2, 2, "spawn"), (2, 2, "forkserver")]
     reports = {}
-    for threads, workers, start in [(1, 1, "fork"), (1, 2, "fork"), (2, 1, "fork"),
-                                    (2, 2, "fork"), (2, 2, "spawn"), (2, 2, "forkserver")]:
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   OMP_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = f"threads={threads} workers={workers} {start}"
-        out = tmp_path / f"t{threads}_w{workers}_{start}"
-        subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(CONFIGS), str(out),
-                        str(workers), start], env=env, check=True, timeout=300)
-        for name, fmt in OUTPUTS:
-            reports[run, name, fmt] = Path(f"{out}_{name}.{fmt}").read_bytes()
+    # two runs at a time: each spends much of its time in one process
+    for batch in (runs[i:i + 2] for i in range(0, len(runs), 2)):
+        procs = []
+        for threads, workers, start in batch:
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       OMP_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"t{threads}_w{workers}_{start}"
+            proc = subprocess.Popen([sys.executable, "-c", _DRIVER, json.dumps(CONFIGS), str(out),
+                                     str(workers), start], env=env)
+            procs.append((f"threads={threads} workers={workers} {start}", out, proc))
+        try:
+            for run, out, proc in procs:
+                assert proc.wait(timeout=300) == 0, f"the run {run} failed"
+                for name, fmt in OUTPUTS:
+                    reports[run, name, fmt] = Path(f"{out}_{name}.{fmt}").read_bytes()
+        finally:
+            for _, _, proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
     base = "threads=1 workers=1 fork"
     for (run, name, fmt), report in reports.items():
         assert report == reports[base, name, fmt], f"{name} {fmt} report of {run} differs from {base}"

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_comment_only_csv_is_a_clean_error(tmp_path, capsys):
                        "--format", "csv")
     assert code == 2
     assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
+
+def test_simulate_ar1_default_params(tmp_path):
+    # without --params, ar1 is the 12-column Hadamard fixture
+    out = tmp_path / "a.bin"
+    assert run_cli("simulate", "--model", "ar1", "--n", "50", "--seed", "3",
+                   "--out", str(out)) == 0
+    assert load_chain(out, "bin").p == 12
 
 
 def test_simulate_ranef_default_params(tmp_path):
@@ -277,8 +286,19 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
       "--params", "{json}"), [1, 2], "ar1 parameters must be a JSON object"),
     (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
       "--params", "{json}"), {"hyper": {"a0": 1.0}}, "'a0'"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "n": "1000"}, "config field 'n' must be an integer, got str"),
+    (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"hyper": {"a1": "x"}},
+     "hyperparameter a1 must be a number, got str"),
+    # an empty params file is not the default: the explicit kind needs A
+    (("simulate", "--model", "ar1", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {}, "need the key 'A'"),
+    (("simulate", "--model", "ar1", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), [], "ar1 parameters must be a JSON object"),
 ], ids=["unknown config key", "truth not an object", "params not an object",
-        "unknown hyper key"])
+        "unknown hyper key", "config value not a number", "hyper value not a number",
+        "empty params object", "empty params list"])
 def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
@@ -286,6 +306,7 @@ def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, c
     assert run_cli(*(a.format(json=path, out=out) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert not Path(out).exists()
 
 
 def test_stdout_output(ar1_chain_file, capsys):

@@ -1,5 +1,7 @@
 """Truncation rules and estimator identities, including the univariate coincidences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,82 @@ class TestUis:
             assert all(pairs.pair(i)[0, 0] > 0 for i in range(est.t_n + 1))
             if est.t_n < pairs.max_index:
                 assert pairs.pair(est.t_n + 1)[0, 0] <= 0
+
+
+def reference_uis(pairs):
+    """Reference: the initial positive sequence rule over pair(i) and partial_sum(m)."""
+    if not pairs.pair(0)[0, 0] > 0.0:
+        return float(pairs.gamma0[0, 0]), -1, True
+    t_n = 0
+    while t_n < pairs.max_index and pairs.pair(t_n + 1)[0, 0] > 0.0:
+        t_n += 1
+    return float(pairs.partial_sum(t_n)[0, 0]), t_n, False
+
+
+def _bits(est):
+    # float.hex tells -0.0 from 0.0, so equal tuples mean equal bits
+    return est.sigma2.hex(), est.t_n, est.degenerate
+
+
+def _column(rng, kind, n, coef):
+    if kind == "ar":
+        return ar_like(rng, n, 1, coef).values[:, 0] * 10.0 ** rng.uniform(-3, 3)
+    if kind == "offset":
+        return rng.standard_normal(n) + rng.uniform(-1e4, 1e4)
+    if kind == "constant":
+        return np.full(n, rng.uniform(-5.0, 5.0))
+    return np.resize([1.0, -1.0], n)
+
+
+class TestUisScan:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+           kinds=st.lists(st.sampled_from(["ar", "offset", "constant", "alternating"]),
+                          min_size=1, max_size=4),
+           coef=st.sampled_from([0.0, 0.7, -0.5, 0.95]))
+    def test_every_entry_point_matches_the_pair_sequence(self, seed, n, kinds, coef):
+        rng = np.random.default_rng(seed)
+        chain = Chain(np.column_stack([_column(rng, kind, n, coef) for kind in kinds]))
+        components = uis_components(chain)
+        for j in range(chain.p):
+            column = chain.column(j)
+            sigma2, t_n, degenerate = reference_uis(LagPairSequence(column))
+            want = (sigma2.hex(), t_n, degenerate)
+            assert _bits(uis(column)) == want
+            assert _bits(uis(LagPairSequence(column))) == want
+            assert _bits(components[j]) == want
+            k = mk(column)
+            assert k.t_n == t_n
+            if not degenerate:
+                assert k.sigma[0, 0].hex() == sigma2.hex()
+
+    def test_alternating_series_keeps_both_pairs(self):
+        chain = Chain([1.0, -1.0, 1.0, -1.0])
+        want = reference_uis(LagPairSequence(chain))
+        assert want == (0.0, 1, False)
+        assert (uis(chain).sigma2, uis(chain).t_n, uis(chain).degenerate) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), p=st.integers(1, 4),
+           column=st.integers(0, 3), k=st.integers(520, 1023))
+    def test_an_overflowing_column_is_named(self, seed, n, p, column, k):
+        # column j alternates 1.5 and -1 times 2**k: its variance always
+        # overflows, and at large k and n the sum behind its mean as well
+        j = column % p
+        values = ar_like(np.random.default_rng(seed), n, p).values.copy()
+        values[:, j] = np.resize([1.5, -1.0], n) * 2.0**k
+        chain = Chain(values)
+        with pytest.raises(MomentOverflowError) as want:
+            LagPairSequence(chain.column(j))
+        # warnings are errors in the body only, so that a failure is reported
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MomentOverflowError) as got:
+                uis_components(chain)
+            assert (got.value.moment, got.value.column) == (want.value.moment, j)
+            with pytest.raises(MomentOverflowError) as got:
+                uis(chain.column(j))
+            assert (got.value.moment, got.value.column) == (want.value.moment, 0)
 
 
 class TestMis:

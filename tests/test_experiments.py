@@ -54,6 +54,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             scalar_config(truth={"kind": "exact"})
 
+    @pytest.mark.parametrize("field, value, what", [
+        ("n", "1000", "an integer"), ("n", 1000.0, "an integer"), ("n", True, "an integer"),
+        ("replications", None, "an integer"), ("level", "0.9", "a number"),
+        ("level", False, "a number"), ("master_seed", "1", "an integer")])
+    def test_non_numeric_field_is_named(self, field, value, what):
+        with pytest.raises(ValueError, match=f"^config field '{field}' must be {what}, got "):
+            scalar_config(**{field: value})
+
+    def test_numpy_numbers_are_accepted(self):
+        cfg = scalar_config(n=np.int64(50), level=np.float64(0.8), master_seed=np.uint32(3))
+        assert (cfg.n, cfg.level, cfg.master_seed) == (50, 0.8, 3)
+
     def test_analytic_truth_requires_ar1(self):
         with pytest.raises(ValueError, match="analytic"):
             ExperimentConfig(model="logistic", truth={"kind": "analytic"})

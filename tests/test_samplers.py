@@ -4,6 +4,7 @@ random walk sampler, and the random effects Gibbs sampler."""
 import hashlib
 import math
 import pickle
+from functools import partial
 from importlib.resources import files
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import solve_triangular
+from scipy.signal import lfilter
 
 from chainvar import (
     Ar1Params,
@@ -76,6 +78,46 @@ class TestAr1Params:
         d = np.sort(np.linalg.eigvalsh(params.A))
         np.testing.assert_allclose(d, np.sort(0.5 ** np.arange(1, 13)), atol=1e-12)
         assert abs(np.abs(d).max() - 0.5) <= 1e-12
+
+
+def _strided_column_simulate(params, n, seed):
+    """Reference: ar1_simulate as a filter over strided columns into a second array."""
+    rng = np.random.default_rng(seed)
+    d, basis, p = params._decays, params._basis, params.p
+    wbar = np.linalg.solve(basis, params.theta)
+    z0 = wbar / (1.0 - d) + rng.standard_normal(p) / np.sqrt(1.0 - d**2)
+    w = rng.standard_normal((n, p)) + wbar
+    z = np.empty((n, p))
+    for k in range(p):
+        z[:, k], _ = lfilter([1.0], [1.0, -d[k]], w[:, k], zi=[d[k] * z0[k]])
+    return z @ basis.T
+
+
+def _explicit_params(p):
+    # A = L Q diag(d) Q' L^{-1} with V = L L', so A V = L Q diag(d) Q' L' is
+    # symmetric and A is neither diagonal nor a Hadamard fixture
+    rng = np.random.default_rng(p)
+    g = rng.standard_normal((p, p))
+    v = g @ g.T / p + np.eye(p)
+    v = (v + v.T) / 2.0
+    low = np.linalg.cholesky(v)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = low @ (q * rng.uniform(-0.9, 0.9, p)) @ q.T @ np.linalg.inv(low)
+    return Ar1Params(a, v, rng.standard_normal(p))
+
+
+# p = 32 at n = 17 is a shape where mapping the modes back through their
+# transpose, not a row-major copy, changed the last bits
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 3000])
+@pytest.mark.parametrize("make", [partial(Ar1Params.hadamard_fixture, p) for p in (1, 2, 4, 12)]
+                         + [partial(_explicit_params, p) for p in (3, 32)],
+                         ids=["h1", "h2", "h4", "h12", "explicit3", "explicit32"])
+def test_simulate_matches_the_strided_column_filter(make, n, blas_threads):
+    params = make()
+    for seed in (0, 1, 20260809):
+        got = ar1_simulate(params, n, seed).values
+        want = _strided_column_simulate(params, n, seed)
+        assert got.tobytes() == want.tobytes(), f"seed {seed}"
 
 
 class TestAr1Truth:
@@ -618,6 +660,16 @@ class TestGibbsSampler:
             gibbs_random_effects([1.0], n=0, seed=1)
         with pytest.raises(ValueError):
             RandomEffectsHyper(a1=-1.0)
+
+    @pytest.mark.parametrize("field, value", [("a1", "x"), ("b3", None), ("m0", "0"),
+                                              ("v0", True), ("a2", [1.0])])
+    def test_non_numeric_hyperparameter_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^hyperparameter {field} must be a number, got "):
+            RandomEffectsHyper(**{field: value})
+
+    def test_integer_and_numpy_hyperparameters_are_numbers(self):
+        hyper = RandomEffectsHyper(a1=1, m0=np.float64(-2.0), v0=np.int64(3))
+        assert (hyper.a1, hyper.m0, hyper.v0) == (1, -2.0, 3)
 
 
 # one small parameter set per built-in model
