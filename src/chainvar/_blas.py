@@ -38,8 +38,9 @@ def _loaded_paths() -> list[str]:
 def _controls() -> tuple:
     """(set, get) thread-count functions, one pair per loaded library.
 
-    Found once per process: importing chainvar loads numpy's and scipy's
-    BLAS, the only ones it calls.
+    Found once per process: importing chainvar loads numpy's BLAS and
+    scipy's (``scipy.special`` and ``scipy.linalg`` each load it), the only
+    ones it calls.
     """
     controls = []
     for path in _loaded_paths():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import re
 from pathlib import Path
@@ -17,6 +18,11 @@ FORMATS = ("csv", "bin")
 
 # the start of a line that is neither empty nor a "#" comment
 _DATA_LINE = re.compile(r"^(?!#|\r?$)", re.MULTILINE)
+# np.loadtxt's row number in its two row messages, and the row it counts
+# from: rows are data lines only, 0-based where a value does not convert and
+# 1-based where the number of columns changes
+_AT_ROW = re.compile(r"^(could not convert|the number of columns changed).* at (row (\d+))")
+_FIRST_ROW = {"could not convert": 0, "the number of columns changed": 1}
 
 
 class ChainFormatError(ValueError):
@@ -215,6 +221,20 @@ def _run_lines(fh, lengths: list[int]):
     yield prev
 
 
+def _at_line(message: str, body: str) -> str:
+    """np.loadtxt's ``message`` on ``body`` with its row number replaced by
+    the file's line number (the header is line 1); any other message as is."""
+    match = _AT_ROW.match(message)
+    if match is None:
+        return message
+    row = int(match.group(3)) - _FIRST_ROW[match.group(1)]
+    start = next(itertools.islice(_DATA_LINE.finditer(body), row, None), None)
+    if start is None:
+        return message
+    line = body.count("\n", 0, start.start()) + 2
+    return f"{message[:match.start(2)]}line {line}{message[match.end(2):]}"
+
+
 def _load_csv(path: Path) -> Chain:
     # UTF-8 whatever the locale: the writer emits ASCII
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -249,7 +269,8 @@ def _load_csv(path: Path) -> Chain:
             try:
                 values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
             except ValueError as exc:
-                raise ChainFormatError(f"{path}: malformed csv body: {exc}") from exc
+                raise ChainFormatError(
+                    f"{path}: malformed csv body: {_at_line(str(exc), body)}") from exc
     if values.shape[1] != p:
         raise ChainFormatError(
             f"{path}: header declares {p} columns, data has {values.shape[1]}"

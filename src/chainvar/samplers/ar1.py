@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.signal import lfilter
 
 from ..chain import Chain
 from ..symmat import symmetrize
@@ -163,6 +162,20 @@ def ar1_truth(params: Ar1Params) -> Ar1Truth:
     return Ar1Truth(mu, params._decays, params._basis)
 
 
+def _lfilter():
+    """``scipy.signal.lfilter``, imported on first use.
+
+    ``scipy.signal`` loads ``scipy.stats``, most of a second and some
+    40 MB at start-up, so only a process that simulates AR(1) chains
+    pays for it.  ``registry.build`` calls this too, before a fork pool
+    starts, so the workers inherit the module instead of each importing
+    it.
+    """
+    from scipy.signal import lfilter
+
+    return lfilter
+
+
 def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
     """Simulate n steps started from the stationary distribution.
 
@@ -173,6 +186,7 @@ def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    lfilter = _lfilter()
     rng = as_generator(seed)
     d, basis, p = params._decays, params._basis, params.p
     # innovation mean and X_0 in decoupled coordinates

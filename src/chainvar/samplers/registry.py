@@ -11,7 +11,7 @@ import numpy as np
 
 from ..chain import Chain
 from ._rng import SeedLike
-from .ar1 import Ar1Params, ar1_simulate, ar1_truth
+from .ar1 import Ar1Params, _lfilter, ar1_simulate, ar1_truth
 from .logistic import LogisticData, load_logit_data, rwm_logistic
 from .random_effects import RandomEffectsHyper, gibbs_random_effects, simulate_dataset
 
@@ -72,6 +72,7 @@ def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
     params = _json_object(params, f"{model} parameters")
     if model == "ar1":
         ar1 = _ar1_params(params)
+        _lfilter()  # imported here, so that forked pool workers inherit it
         return partial(_ar1_run, ar1), ar1_truth(ar1).mu
     if model == "logistic":
         data = load_logit_data(params.get("data_path"))

@@ -170,10 +170,11 @@ def test_csv_empty_body_rejected(tmp_path):
         load_chain(path, "csv")
 
 
-# Values and messages of a single np.loadtxt over the whole csv body, the
-# reader before runs of repeated rows were parsed once; "{path}" stands for
-# the file's path.  Each case makes the run-length reader fall back to that
-# parse.
+# Values of a single np.loadtxt over the whole csv body, the reader before
+# runs of repeated rows were parsed once, and its messages, with loadtxt's
+# data-row number given as the file's line (the header is line 1); "{path}"
+# stands for the file's path.  Each case makes the run-length reader fall
+# back to that parse.
 _WHOLE_BODY_OUTCOMES = {
     "blank lines between rows": (
         "c1,c2\n1,2\n\n1,2\n3,4\n\n\n3,4\n",
@@ -185,15 +186,27 @@ _WHOLE_BODY_OUTCOMES = {
     "malformed value in a run": (
         "c1,c2\n1,2\n1,2\n1,x\n1,2\n1,2\n",
         "{path}: malformed csv body: could not convert string 'x' to float64 "
-        "at row 2, column 2."),
+        "at line 4, column 2."),
     "short ragged row in a run": (
         "c1,c2\n1,2\n1,2\n1\n1,2\n1,2\n",
         "{path}: malformed csv body: the number of columns changed from 2 to 1 "
-        "at row 3; use `usecols` to select a subset and avoid this error"),
+        "at line 4; use `usecols` to select a subset and avoid this error"),
     "long ragged row in a run": (
         "c1,c2\n1,2\n1,2,3\n1,2\n",
         "{path}: malformed csv body: the number of columns changed from 2 to 3 "
-        "at row 2; use `usecols` to select a subset and avoid this error"),
+        "at line 3; use `usecols` to select a subset and avoid this error"),
+    "malformed value after a comment and a blank line": (
+        "c1,c2\n1,2\n# note\n\n1,x\n1,2\n",
+        "{path}: malformed csv body: could not convert string 'x' to float64 "
+        "at line 5, column 2."),
+    "ragged row after a blank line and a comment, crlf": (
+        "c1,c2\r\n\r\n1,2\r\n#c\r\n1\r\n",
+        "{path}: malformed csv body: the number of columns changed from 2 to 1 "
+        "at line 5; use `usecols` to select a subset and avoid this error"),
+    "ragged row after a whitespace line, which loadtxt reads as a row": (
+        "c1,c2\n1,2\n  \n1,2\n",
+        "{path}: malformed csv body: the number of columns changed from 2 to 1 "
+        "at line 3; use `usecols` to select a subset and avoid this error"),
     "run of lines ending at a lone carriage return": (
         "c1,c2\n1,2\r1,2\r1,2\n",
         "{path}: malformed csv body: Found an unquoted embedded newline within "

@@ -55,12 +55,27 @@ class TestQuantiles:
 
     def test_input_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
+            message = rf"^probability must lie in \(0, 1\), got {bad}$"
+            with pytest.raises(ValueError, match=message):
                 normal_quantile(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 chisq_quantile(bad, 2)
-        with pytest.raises(ValueError):
-            chisq_quantile(0.5, 0)
+        for dof in (0, -3):
+            with pytest.raises(ValueError, match=rf"^degrees of freedom must be >= 1, got {dof}$"):
+                chisq_quantile(0.5, dof)
+
+    def test_bits_equal_those_of_scipy_stats(self):
+        from scipy import stats
+
+        probs = np.concatenate([np.linspace(0.01, 0.999, 300),
+                                [0.5, 0.8, 0.9, 0.95, 0.975, 0.99]])
+        dofs = np.arange(1, 200)
+        ours = np.array([[chisq_quantile(q, int(dof)) for q in probs] for dof in dofs])
+        ref = stats.chi2.ppf(probs[None, :], dofs[:, None])
+        assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+        probs = np.linspace(1e-6, 1.0 - 1e-6, 20_002)
+        ours = np.array([normal_quantile(q) for q in probs])
+        assert np.array_equal(ours.view(np.uint64), stats.norm.ppf(probs).view(np.uint64))
 
 
 class TestSampleCov:
