@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import itertools
 import os
 import re
@@ -16,8 +15,9 @@ _HEADER_BYTES = 16
 
 FORMATS = ("csv", "bin")
 
-# the start of a line that is neither empty nor a "#" comment
-_DATA_LINE = re.compile(r"^(?!#|\r?$)", re.MULTILINE)
+# lines np.loadtxt reads no row from, other than "#" comments; a lone "\r"
+# can only be a file's last line
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 # np.loadtxt's row number in its two row messages, and the row it counts
 # from: rows are data lines only, 0-based where a value does not convert and
 # 1-based where the number of columns changes
@@ -33,12 +33,13 @@ class NonFiniteValueError(ValueError):
     """Chain values contain a NaN or an infinity."""
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, at=lambda i: f"row {i}") -> None:
+    # ``at`` names the row, by default by its 0-based index in ``arr``
     bad = ~np.isfinite(arr)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NonFiniteValueError(
-            f"non-finite value {float(arr[i, j])} at row {int(i)}, column c{int(j) + 1}"
+            f"non-finite value {float(arr[i, j])} at {at(int(i))}, column c{int(j) + 1}"
         )
 
 
@@ -195,50 +196,40 @@ def _save_csv(values: np.ndarray, path: Path) -> None:
             fh.write(row % tuple(first) * length)
 
 
-def _run_lines(fh, lengths: list[int]):
-    """Yield the first line of each run of equal lines of ``fh``, appending
-    the run's length to ``lengths``.
+def _data_runs(fh, lengths: list[int], blank: list[int], comment: list[int]):
+    """Yield the first line of each run of equal data lines of ``fh``.
 
-    Raises ValueError, before np.loadtxt sees a row, on what a line-by-line
-    parse could read differently from one parse of the whole body: a first
-    line that is blank or a comment (a body may then hold no data at all),
-    and a line that ends at a lone carriage return, which loadtxt does not
-    take for the end of a line.
+    Data lines are the lines np.loadtxt reads a row from.  The others, which
+    are ``"\n"``, ``"\r\n"``, a final ``"\r"`` and ``#`` comments, are
+    skipped, and a run of equal lines may span them.  Each run's length is
+    appended to ``lengths``, and for each skipped line the number of runs
+    begun before it to ``blank`` or ``comment``.
     """
-    prev, count = next(fh, ""), 1
-    if not prev.strip() or prev[0] == "#":
-        raise ValueError("blank or comment first line")
+    prev, count = None, 0
     for line in fh:
-        if prev[-1] == "\r":
-            raise ValueError("line ends at a lone carriage return")
         if line == prev:
             count += 1
+        elif line[0] == "#":
+            comment.append(len(lengths) + (count > 0))
+        elif line in _BLANK_LINES:
+            blank.append(len(lengths) + (count > 0))
         else:
-            lengths.append(count)
-            yield prev
+            if count:
+                lengths.append(count)
+                yield prev
             prev, count = line, 1
-    lengths.append(count)
-    yield prev
-
-
-def _at_line(message: str, body: str) -> str:
-    """np.loadtxt's ``message`` on ``body`` with its row number replaced by
-    the file's line number (the header is line 1); any other message as is."""
-    match = _AT_ROW.match(message)
-    if match is None:
-        return message
-    row = int(match.group(3)) - _FIRST_ROW[match.group(1)]
-    start = next(itertools.islice(_DATA_LINE.finditer(body), row, None), None)
-    if start is None:
-        return message
-    line = body.count("\n", 0, start.start()) + 2
-    return f"{message[:match.start(2)]}line {line}{message[match.end(2):]}"
+    if count:
+        lengths.append(count)
+        yield prev
 
 
 def _load_csv(path: Path) -> Chain:
-    # UTF-8 whatever the locale: the writer emits ASCII
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
+    # UTF-8 whatever the locale: the writer emits ASCII.  Lines end at "\n"
+    # only, as np.loadtxt reads them; a header that ends at a lone "\r"
+    # is followed on the same line by the first body line
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        header, _, rest = fh.readline().partition("\r")
+        header = header.strip()
         names = header.split(",") if header else []
         expected = [f"c{j + 1}" for j in range(len(names))]
         if not names or names != expected:
@@ -247,32 +238,40 @@ def _load_csv(path: Path) -> Chain:
             )
         p = len(names)
         # each run of repeated rows is parsed once, streamed from the file
-        lengths: list[int] = []
+        lengths, blank, comment = [], [], []
+        body = itertools.chain([rest] if rest not in ("", "\n") else [], fh)
+        runs = _data_runs(body, lengths, blank, comment)
+
+        def line_of(run: int) -> int:
+            # the file line of a run's first row; the header is line 1
+            return 2 + sum(lengths[:run]) + sum(k <= run for k in blank + comment)
+
+        first = next(runs, None)
+        if first is None:
+            raise ChainFormatError(f"{path}: no data rows")
         try:
-            values = np.loadtxt(_run_lines(fh, lengths), delimiter=",", ndmin=2)
-        except ValueError:
-            values = None
-        if values is not None and len(values) == len(lengths):
-            if sum(lengths) > len(lengths):
-                values = np.repeat(values, lengths, axis=0)
-        else:
-            # an error, or blank or comment lines that left fewer rows than
-            # runs: the whole body is parsed as one stream, so values and
-            # messages (loadtxt's row numbers) are those of a plain read and
-            # parse
-            fh.seek(0)
-            fh.readline()
-            body = fh.read()
-            # loadtxt reads no row from an empty line or a "#" comment line
-            if not body.strip() or _DATA_LINE.search(body) is None:
-                raise ChainFormatError(f"{path}: no data rows")
-            try:
-                values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ChainFormatError(
-                    f"{path}: malformed csv body: {_at_line(str(exc), body)}") from exc
+            values = np.loadtxt(itertools.chain([first], runs), delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            # loadtxt fails on a first row of whitespace only; if the whole
+            # body is whitespace and blank lines, with no comment, it holds no
+            # data rows, and only then is the rest of the body read here
+            if not (first.strip() or any(line.strip() for line in runs) or comment):
+                raise ChainFormatError(f"{path}: no data rows") from None
+            message = str(exc)
+            match = _AT_ROW.match(message)
+            if match is not None:
+                line = line_of(int(match.group(3)) - _FIRST_ROW[match.group(1)])
+                message = f"{message[:match.start(2)]}line {line}{message[match.end(2):]}"
+            raise ChainFormatError(f"{path}: malformed csv body: {message}") from exc
     if values.shape[1] != p:
         raise ChainFormatError(
             f"{path}: header declares {p} columns, data has {values.shape[1]}"
         )
+    # a non-finite cell is named by its file line; the first bad row of the
+    # chain is the first row of its run
+    _check_finite(values, lambda run: f"line {line_of(run)}")
+    if sum(lengths) > len(lengths):
+        values = np.repeat(values, lengths, axis=0)
     return Chain._adopt(values)

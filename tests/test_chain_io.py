@@ -1,6 +1,9 @@
 """Chain validation and csv/binary persistence round trips."""
 
+import io
+import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,7 +40,7 @@ def test_bin_header_shape_echo(tmp_path):
 def test_csv_nan_names_the_cell(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("c1,c2\n1.0,nan\n")
-    with pytest.raises(NonFiniteValueError, match=r"^non-finite value nan at row 0, column c2$"):
+    with pytest.raises(NonFiniteValueError, match=r"^non-finite value nan at line 2, column c2$"):
         load_chain(path, "csv")
 
 
@@ -173,8 +176,8 @@ def test_csv_empty_body_rejected(tmp_path):
 # Values of a single np.loadtxt over the whole csv body, the reader before
 # runs of repeated rows were parsed once, and its messages, with loadtxt's
 # data-row number given as the file's line (the header is line 1); "{path}"
-# stands for the file's path.  Each case makes the run-length reader fall
-# back to that parse.
+# stands for the file's path.  The streamed reader, which skips blank and
+# comment lines itself, gives the same outcome on each.
 _WHOLE_BODY_OUTCOMES = {
     "blank lines between rows": (
         "c1,c2\n1,2\n\n1,2\n3,4\n\n\n3,4\n",
@@ -277,6 +280,14 @@ def test_csv_parses_each_run_of_repeated_rows_once(tmp_path, monkeypatch):
     values = np.repeat([[1.0, 2.0], [0.5, -0.0], [1.0, 2.0]], [300, 1, 200], axis=0)
     path = tmp_path / "c.csv"
     save_chain(Chain(values), path, "csv")
+    # a comment and blank lines inside the runs, and a trailing blank line:
+    # loadtxt reads no row from them, so they neither split a run nor force
+    # a second parse
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1:1] = ["# sampler output\n"]
+    lines[50:50] = ["\n", "\r\n"]
+    lines[-100:-100] = ["\n"]
+    path.write_text("".join(lines) + "\n", newline="")
     parsed = []
     loadtxt = np.loadtxt
 
@@ -326,6 +337,123 @@ def test_csv_run_length_writer_and_reader(values):
     assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
     assert back.flags.c_contiguous
     assert not back.flags.writeable
+
+
+# The csv reader before every body was streamed in one parse, kept as the
+# reference the streamed reader must match: one np.loadtxt over the whole
+# body, with loadtxt's data-row numbers mapped back to file lines.
+_DATA_LINE = re.compile(r"^(?!#|\r?$)", re.MULTILINE)  # neither empty nor a comment
+_AT_ROW = re.compile(r"^(could not convert|the number of columns changed).* at (row (\d+))")
+_FIRST_ROW = {"could not convert": 0, "the number of columns changed": 1}
+
+
+def _whole_body_line(body, row):
+    """The file line (the header is line 1) of loadtxt's 0-based data row."""
+    start = next(itertools.islice(_DATA_LINE.finditer(body), row, None)).start()
+    return body.count("\n", 0, start) + 2
+
+
+def _whole_body_load(path):
+    """Values of a csv chain whose header is valid, read as one body."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        p = len(fh.readline().split(","))
+        body = fh.read()
+    if not body.strip() or _DATA_LINE.search(body) is None:
+        raise ChainFormatError(f"{path}: no data rows")
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        message = str(exc)
+        match = _AT_ROW.match(message)
+        if match is not None:
+            line = _whole_body_line(body, int(match.group(3)) - _FIRST_ROW[match.group(1)])
+            message = f"{message[:match.start(2)]}line {line}{message[match.end(2):]}"
+        raise ChainFormatError(f"{path}: malformed csv body: {message}") from None
+    if values.shape[1] != p:
+        raise ChainFormatError(f"{path}: header declares {p} columns, data has {values.shape[1]}")
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        raise NonFiniteValueError(f"non-finite value {values[i, j]} at line "
+                                  f"{_whole_body_line(body, i)}, column c{j + 1}")
+    return values
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: the values' bits or the error, and warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = load(path)
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (values.shape, values.view(np.uint64).tobytes())
+    return result, [str(w.message) for w in caught]
+
+
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+# a lone "\r" inside a body is an error, so it ends few body lines
+_BODY_ENDINGS = st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])
+_CELLS = st.sampled_from(["1", "-0", "0.5", "1e300", "-2.5e-310", " 3 "])
+_LINE_KINDS = st.sampled_from(["row"] * 4 + ["repeat"] * 4 + [
+    "blank", "whitespace", "comment", "inline comment", "bad value", "nan", "ragged"])
+
+
+@st.composite
+def _csv_texts(draw):
+    p = draw(st.integers(1, 3))
+    lines = []
+    for kind in draw(st.lists(_LINE_KINDS, max_size=15)):
+        if kind == "repeat":
+            lines.append(lines[-1] if lines else "\n")
+            continue
+        cells = [draw(_CELLS) for _ in range(p)]
+        if kind == "bad value":
+            cells[draw(st.integers(0, p - 1))] = "x"
+        elif kind == "nan":
+            cells[draw(st.integers(0, p - 1))] = draw(st.sampled_from(["nan", "-inf"]))
+        elif kind == "ragged":
+            cells = cells[1:] + [cells[0]] * draw(st.integers(0, 2)) if p > 1 else cells * 2
+        text = {"blank": "", "whitespace": draw(st.sampled_from([" ", "\t", "  "])),
+                "comment": "# c", "inline comment": ",".join(cells) + " # c"}.get(kind)
+        lines.append((",".join(cells) if text is None else text) + draw(_BODY_ENDINGS))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
+    header = ",".join(f"c{j + 1}" for j in range(p)) + draw(_ENDINGS)
+    return header + "".join(lines)
+
+
+def _streamed_load(path):
+    return load_chain(path, "csv").values
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_texts())
+def test_csv_streamed_parse_matches_a_whole_body_parse(text):
+    # values by bits, error types and messages, and warnings all agree
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(_streamed_load, path) == _outcome(_whole_body_load, path)
+
+
+@pytest.mark.parametrize("bad", ["1,x\n", "1\n", "nan,1\n"])
+def test_csv_long_body_names_the_line_of_a_late_error(tmp_path, bad):
+    # over 50,000 lines, with comments, blank lines and repeated rows before
+    # the error, so the streamed reader's run and skip tables are long
+    lines = [f"{i // 3},{i % 5}\n" for i in range(60_000)]
+    lines[::1000] = ["# c\n"] * 60
+    lines[500::1500] = ["\n"] * 40
+    lines[55_555] = bad
+    path = tmp_path / "c.csv"
+    path.write_text("c1,c2\n" + "".join(lines))
+    outcome = _outcome(_streamed_load, path)
+    assert outcome == _outcome(_whole_body_load, path)
+    (kind, message), caught = outcome
+    assert kind in (ChainFormatError, NonFiniteValueError)
+    assert " at line 55557" in message
+    assert caught == []
 
 
 def test_chain_rejects_bad_shapes_and_values():
