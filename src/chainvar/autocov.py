@@ -58,18 +58,25 @@ def autocov(chain: Chain, t: int) -> np.ndarray:
     return g0 if t == 0 else _cross_lag(centered, t)
 
 
-def _lag0(chain: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lag0(chain: Chain, in_place: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mean, the centered values and the symmetrized lag-0 autocovariance.
 
     Finite values can still overflow their sum, their centering or their
     squares; that raises :class:`MomentOverflowError` naming the first such
-    column, never a numpy warning.
+    column, never a numpy warning.  ``in_place`` centers the chain's own
+    buffer, with the same bits, and locks it again; its mean is cached first.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean = chain.mean
         if not np.isfinite(mean).all():
             raise MomentOverflowError("mean", int(np.argmin(np.isfinite(mean))))
-        centered = chain.values - mean
+        if in_place:
+            centered = chain.values
+            centered.setflags(write=True)
+            np.subtract(centered, mean, out=centered)
+            centered.setflags(write=False)
+        else:
+            centered = chain.values - mean
         g0 = symmetrize(_cross_lag(centered, 0))
     if not np.isfinite(g0).all():
         # by Cauchy-Schwarz a cross product overflows only where one of
@@ -98,11 +105,14 @@ class LagPairSequence:
     thread-safe; confine one instance to one thread.
     """
 
+    # whether construction centers the chain's own buffer (see _adopt)
+    _in_place = False
+
     def __init__(self, chain: Chain) -> None:
         self.n = chain.n
         self.p = chain.p
         self.max_index = chain.n // 2 - 1  # largest pair index, floor(n/2 - 1)
-        mean, self._centered, g0 = _lag0(chain)
+        mean, self._centered, g0 = _lag0(chain, self._in_place)
         self._gamma0 = _locked(g0)
         # A constant column's centered value is the rounding error of its
         # mean, within n * eps * |mean| (the sequential-summation bound;
@@ -118,6 +128,19 @@ class LagPairSequence:
         self._partials: list[np.ndarray] = []
         self._gamma0_w: np.ndarray | None = None
         self._partial_w: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def _adopt(cls, chain: Chain) -> "LagPairSequence":
+        """The sequence of a chain its owner hands off, over the chain's own buffer.
+
+        The buffer is centered in place instead of copied, so the chain holds
+        centered values from then on; only its cached ``mean`` is still the
+        raw chain's.  The numbers are those of ``LagPairSequence(chain)``.
+        """
+        seq = cls.__new__(cls)
+        seq._in_place = True
+        seq.__init__(chain)
+        return seq
 
     @property
     def gamma0(self) -> np.ndarray:

@@ -12,6 +12,8 @@ import numpy as np
 _HEADER_DTYPE = np.dtype("<u8")
 _VALUE_DTYPE = np.dtype("<f8")
 _HEADER_BYTES = 16
+# cells per block of the finite check
+_FINITE_BLOCK = 1 << 18
 
 FORMATS = ("csv", "bin")
 
@@ -34,13 +36,17 @@ class NonFiniteValueError(ValueError):
 
 
 def _check_finite(arr: np.ndarray, at=lambda i: f"row {i}") -> None:
-    # ``at`` names the row, by default by its 0-based index in ``arr``
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteValueError(
-            f"non-finite value {float(arr[i, j])} at {at(int(i))}, column c{int(j) + 1}"
-        )
+    # ``at`` names the row, by default by its 0-based index in ``arr``; the
+    # rows are checked a block at a time, so no n x p mask is held
+    step = max(1, _FINITE_BLOCK // arr.shape[1])
+    for start in range(0, arr.shape[0], step):
+        finite = np.isfinite(arr[start:start + step])
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            i += start
+            raise NonFiniteValueError(
+                f"non-finite value {float(arr[i, j])} at {at(int(i))}, column c{int(j) + 1}"
+            )
 
 
 class Chain:
@@ -160,7 +166,8 @@ def load_chain(path, format: str = "bin") -> Chain:
 def _load_bin(path: Path) -> Chain:
     # the header is checked against the file's size before the payload is
     # read, so a truncated or oversize file fails without a read of it;
-    # unbuffered, the payload is read straight into one bytes object
+    # unbuffered, the payload is read straight into the chain's own array,
+    # which stays writable underneath for an analysis that owns the chain
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_HEADER_BYTES)
@@ -175,11 +182,17 @@ def _load_bin(path: Path) -> Chain:
             )
         if n < 1 or p < 1:
             raise ChainFormatError(f"{path}: header declares empty shape n={n}, p={p}")
-        payload = fh.read()
-    if len(payload) != size - _HEADER_BYTES:
-        raise ChainFormatError(f"{path}: file changed size while it was read")
-    values = np.frombuffer(payload, dtype=_VALUE_DTYPE)
-    return Chain._adopt(values.reshape(n, p))
+        values = np.empty((n, p), dtype=_VALUE_DTYPE)
+        payload = memoryview(values).cast("B")
+        got = 0
+        while got < len(payload):
+            read = fh.readinto(payload[got:])
+            if not read:
+                break
+            got += read
+        if got < len(payload) or fh.read(1):
+            raise ChainFormatError(f"{path}: file changed size while it was read")
+    return Chain._adopt(values)
 
 
 def _save_csv(values: np.ndarray, path: Path) -> None:

@@ -89,7 +89,8 @@ def _region_view(analysis: Analysis, args: argparse.Namespace) -> dict:
 
 
 def _cmd_analysis(args: argparse.Namespace) -> int:
-    analysis = Analysis(load_chain(args.input, args.format))
+    # the loaded chain is the analysis's alone, so it is centered in place
+    analysis = Analysis._adopt(load_chain(args.input, args.format))
     _write_json(args.view(analysis, args), args.output)
     return 0
 

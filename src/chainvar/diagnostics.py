@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .autocov import LagPairSequence, autocov
+from .autocov import LagPairSequence, MomentOverflowError, autocov
 from .chain import Chain
 from .estimators import MULTIVARIATE, MvEstimate, UvEstimate, uis, uis_components
 from .symmat import (
@@ -189,6 +189,11 @@ def cube_region(mu_n, sigma_diag, n: int, alpha: float, bonferroni: bool = False
     return Region(kind, mu_n, 1.0 - alpha, n, log_volume, half_widths=half)
 
 
+class CenteredChainError(RuntimeError):
+    """Work on a chain's raw columns after an analysis that owns the chain
+    has centered it in place; a new analysis of a fresh chain can do it."""
+
+
 class Analysis:
     """One chain's estimates, and the ESS and regions built from them.
 
@@ -201,14 +206,43 @@ class Analysis:
     def __init__(self, chain: Chain) -> None:
         self.chain = chain
         self._estimates: dict[str, MvEstimate | UvEstimate] = {}
+        # whether the analysis owns its chain, and whether it may have
+        # centered it in place
+        self._owns_chain = self._centered = False
+
+    @classmethod
+    def _adopt(cls, chain: Chain) -> "Analysis":
+        """The analysis of a chain its maker hands off and no one else holds.
+
+        Its sequence centers the chain's buffer in place instead of copying
+        it, so the chain is held once.  Work on raw columns must come first:
+        afterwards it raises :class:`CenteredChainError`.  The chain's mean
+        is cached before the centering, so the regions' centers keep their bits.
+        """
+        analysis = cls(chain)
+        analysis._owns_chain = True
+        return analysis
 
     @cached_property
     def pairs(self) -> LagPairSequence:
-        return LagPairSequence(self.chain)
+        if not self._owns_chain:
+            return LagPairSequence(self.chain)
+        # a failed first build may have centered the buffer already
+        self._raw_chain()
+        self._centered = True
+        return LagPairSequence._adopt(self.chain)
 
     @cached_property
     def components(self) -> list[UvEstimate]:
-        return uis_components(self.chain)
+        return uis_components(self._raw_chain())
+
+    def _raw_chain(self) -> Chain:
+        """The chain, for work on its raw values, which must not be centered yet."""
+        if self._centered:
+            raise CenteredChainError(
+                "the analysis has centered its chain in place; its raw columns are gone"
+            )
+        return self.chain
 
     @property
     def logdet_lambda(self) -> float:
@@ -218,18 +252,29 @@ class Analysis:
     def estimate(self, method: str) -> MvEstimate | UvEstimate:
         """The estimate by ``method``; ``uis`` needs a univariate chain."""
         if method not in self._estimates:
-            self._estimates[method] = (uis(self.chain) if method == "uis"
+            self._estimates[method] = (uis(self._raw_chain()) if method == "uis"
                                        else MULTIVARIATE[method](self.pairs))
         return self._estimates[method]
 
+    def _gamma0(self) -> np.ndarray:
+        # without a shared sequence, an analysis that does not own its chain
+        # takes gamma0 alone (the same bits), freeing its n x p centered copy
+        if self._owns_chain or "pairs" in self.__dict__:
+            return self.pairs.gamma0
+        return sample_cov(self.chain)
+
     def component_ess(self) -> list[float]:
         """See :func:`univariate_ess_components`."""
-        # without a shared sequence, gamma0 alone (the same bits) frees its
-        # n x p centered copy before the column scans run
-        g0 = np.diagonal(self.pairs.gamma0 if "pairs" in self.__dict__
-                         else sample_cov(self.chain))
+        # the column scans run before gamma0, which may center the chain;
+        # a moment overflow of the whole chain is still the one named first
+        try:
+            components = self.components
+        except MomentOverflowError:
+            self._gamma0()
+            raise
+        g0 = np.diagonal(self._gamma0())
         return [float(self.chain.n * (g0[j] / est.sigma2)) if est.usable else float("nan")
-                for j, est in enumerate(self.components)]
+                for j, est in enumerate(components)]
 
     def ess(self, method: str) -> float:
         """:func:`ess` of a multivariate method; for ``uis``, :func:`min_univariate_ess`."""

@@ -234,7 +234,7 @@ def _centered_column(values: np.ndarray, column: int) -> np.ndarray:
         mean = x.mean(axis=0)
         if not np.isfinite(mean[0]):
             raise MomentOverflowError("mean", column)
-        return (x - mean).ravel()
+        return np.subtract(x, mean, out=x).ravel()
 
 
 def uis(chain: ChainOrPairs) -> UvEstimate:

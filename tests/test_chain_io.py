@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainvar import Chain, ChainFormatError, NonFiniteValueError, load_chain, save_chain
+from chainvar import chain as chain_module
 
 
 def test_csv_minimal_wellformed(tmp_path):
@@ -527,3 +528,37 @@ def test_samplers_and_loaders_hand_off_without_a_copy(tmp_path, monkeypatch):
         loaded = load_chain(tmp_path / f"c.{fmt}", fmt)
         np.testing.assert_array_equal(loaded.values, chains[0].values)
         assert not loaded.values.flags.writeable
+
+
+@pytest.mark.parametrize("change", [-8, -1, 1, 8])
+def test_bin_that_changes_size_while_read_rejected(tmp_path, monkeypatch, change):
+    # fstat reports the size the header declares, the read finds another
+    path = tmp_path / "c.bin"
+    save_chain(Chain(np.arange(12.0).reshape(4, 3)), path, "bin")
+    declared = path.stat().st_size
+    with open(path, "r+b") as fh:
+        fh.truncate(declared + change)
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (declared,) + (0,) * 3))
+    with pytest.raises(ChainFormatError, match="file changed size while it was read"):
+        load_chain(path, "bin")
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 30), st.integers(1, 5)), block=st.integers(1, 20),
+       bad=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 4),
+                              st.sampled_from([np.nan, np.inf, -np.inf])), max_size=4))
+def test_blocked_finite_check_names_the_first_bad_cell(shape, block, bad):
+    values = np.zeros(shape)
+    for i, j, v in bad:
+        if i < shape[0] and j < shape[1]:
+            values[i, j] = v
+    first = np.argwhere(~np.isfinite(values))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_module, "_FINITE_BLOCK", block)
+        if not len(first):
+            Chain(values)
+            return
+        i, j = first[0]
+        with pytest.raises(NonFiniteValueError,
+                           match=rf"^non-finite value {values[i, j]} at row {i}, column c{j + 1}$"):
+            Chain(values)

@@ -1,6 +1,7 @@
 """Command line interface end to end, through the real argv entry point."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -313,3 +314,111 @@ def test_stdout_output(ar1_chain_file, capsys):
     assert run_cli("estimate", "--method", "mk", "--input", str(ar1_chain_file)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "mk"
+
+
+def _commands():
+    for method in ("uis", "mis", "misadj", "mk"):
+        yield ("estimate", "--method", method)
+        yield ("ess", "--method", method)
+        for kind in ("ellipsoid", "cube", "bonf"):
+            yield ("region", "--method", method, "--kind", kind, "--level", "0.8")
+
+
+def _analyst_chains(root):
+    """(file, format) of chains that exercise every path of an analyst command."""
+    rng = np.random.default_rng(23)
+    ar1, _ = build("ar1", {"kind": "hadamard", "p": 4})[0](3_000, 5)
+    logistic, _ = build("logistic", {})[0](2_000, 5)
+    scalar, _ = build("ar1", {"kind": "scalar", "a": 0.5})[0](2_000, 5)
+    constant = rng.standard_normal((1_000, 3))
+    constant[:, 1] = 4.25
+    overflow = rng.standard_normal((500, 4))
+    overflow[:, 1] *= 2.0**520
+    # the variance of c3 overflows, and the mean of c4 is named before it
+    both = rng.standard_normal((500, 4))
+    both[:, 2] *= 2.0**520
+    both[:, 3] = 1.5e308 + both[:, 3] * 1e306
+    cases = [(ar1, "ar1.bin", "bin"), (logistic, "logistic.csv", "csv"),
+             (scalar, "scalar.bin", "bin"), (scalar, "scalar.csv", "csv"),
+             (Chain(constant), "constant.bin", "bin"), (Chain(overflow), "overflow.bin", "bin"),
+             (Chain(both), "both.bin", "bin")]
+    for chain, name, fmt in cases:
+        save_chain(chain, root / name, fmt)
+    return [(root / name, fmt) for _, name, fmt in cases]
+
+
+def test_owning_analysis_prints_the_bytes_of_a_copying_one(tmp_path, monkeypatch, capsys):
+    # the command line's analysis owns its chain and centers it in place;
+    # an analysis that copies the chain must print the very same bytes
+    chains = _analyst_chains(tmp_path)
+
+    def outputs():
+        got = []
+        for path, fmt in chains:
+            for argv in _commands():
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = run_cli(*argv, "--input", str(path), "--format", fmt)
+                got.append((code, *capsys.readouterr(), [str(w.message) for w in caught]))
+        return got
+
+    owning = outputs()
+    monkeypatch.setattr(diagnostics.Analysis, "_adopt", staticmethod(diagnostics.Analysis))
+    copying = outputs()
+    assert owning == copying
+    errors = {err for code, _, err, _ in owning if code}
+    assert "error: column c2 is constant, so no truncated covariance sum can be " \
+           "positive definite\n" in errors
+    assert "error: the variance of column c2 overflows; rescale the chain\n" in errors
+    assert "error: the mean of column c4 overflows; rescale the chain\n" in errors
+    assert any(caught for _, _, _, caught in owning)
+    # every chain but the degenerate ones gives some payload
+    assert sum(code == 0 for code, _, _, _ in owning) > 40
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_ONE_COPY = [("estimate", "--method", "mis"), ("ess", "--method", "uis"),
+             ("region", "--kind", "bonf", "--method", "uis")]
+
+
+def test_analyst_commands_hold_a_bin_chain_once(tmp_path, capsys):
+    # numpy reports its buffers to tracemalloc, so the traced peak counts
+    # every copy of the chain; the analysis centers the loaded one in place
+    chain = Chain(np.random.default_rng(5).standard_normal((200_000, 12)))
+    path = tmp_path / "c.bin"
+    save_chain(chain, path, "bin")
+    for argv in _ONE_COPY:
+        peak = _traced_peak((*argv, "--input", str(path)))
+        assert peak <= 1.25 * chain.values.nbytes, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("runs", [False, True], ids=["distinct-rows", "repeated-rows"])
+def test_analyst_commands_add_no_copy_to_a_csv_load(runs, tmp_path, capsys):
+    # np.loadtxt's growing buffer, and with repeated rows the first row of
+    # each run held next to the repeated chain, put the load's own peak
+    # above 1.25 chain copies; the analysis adds at most a quarter copy
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((50_000, 5))
+    if runs:
+        values = np.repeat(values, rng.integers(1, 5, size=len(values)), axis=0)[:50_000]
+    path = tmp_path / "c.csv"
+    save_chain(Chain(values), path, "csv")
+    tracemalloc.start()
+    try:
+        load_chain(path, "csv")
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for argv in _ONE_COPY:
+        peak = _traced_peak((*argv, "--input", str(path), "--format", "csv"))
+        assert peak <= load_peak + 0.25 * values.nbytes, argv
+    capsys.readouterr()

@@ -9,17 +9,24 @@ from chainvar import (
     Chain,
     Ar1Params,
     ExperimentConfig,
+    LagPairSequence,
+    MomentOverflowError,
     ar1_simulate,
     chisq_quantile,
     cube_region,
     ellipsoid_region,
     ess,
+    load_chain,
     min_univariate_ess,
+    mis,
     normal_quantile,
     run_replications,
     sample_cov,
+    save_chain,
+    uis_components,
     univariate_ess_components,
 )
+from chainvar.diagnostics import Analysis, CenteredChainError
 from chainvar.samplers import build, replication_stream
 from chainvar.symmat import NotPositiveDefiniteError
 
@@ -249,3 +256,70 @@ class TestCubeRegion:
     def test_volume_root(self):
         region = cube_region(np.zeros(3), np.full(3, 2.0), 100, 0.1)
         assert abs(region.volume_root ** 3 - region.volume) < 1e-12
+
+
+class TestChainOwnership:
+    @staticmethod
+    def _chain(tmp_path, p=4):
+        chain, _ = build("ar1", {"kind": "hadamard", "p": p})[0](4_000, 9)
+        save_chain(chain, tmp_path / "c.bin", "bin")
+        return chain
+
+    def test_callers_chain_keeps_its_bytes_and_stays_read_only(self, tmp_path):
+        chain = self._chain(tmp_path)
+        loaded = load_chain(tmp_path / "c.bin", "bin")
+        for given in (chain, loaded, Chain(chain.values)):
+            before = given.values.tobytes()
+            LagPairSequence(given)
+            mis(given)
+            uis_components(given)
+            min_univariate_ess(given)
+            univariate_ess_components(given)
+            analysis = Analysis(given)
+            analysis.ess("mis")
+            analysis.ess("uis")
+            analysis.region("misadj", "ellipsoid", 0.9)
+            analysis.region("uis", "bonferroni", 0.9)
+            assert given.values.tobytes() == before
+            assert not given.values.flags.writeable
+            with pytest.raises(ValueError):
+                given.values[0, 0] = 0.0
+
+    def test_owning_analysis_holds_one_centered_chain(self, tmp_path):
+        copying = Analysis(self._chain(tmp_path))
+        owning = Analysis._adopt(load_chain(tmp_path / "c.bin", "bin"))
+        mean = owning.chain.mean.copy()
+        # the raw columns first, then the centering; the copying analysis
+        # takes the other order, with the same bits
+        assert owning.component_ess() == copying.component_ess()
+        assert owning.ess("mis") == copying.ess("mis")
+        assert np.shares_memory(owning.pairs._centered, owning.chain.values)
+        assert not owning.chain.values.flags.writeable
+        np.testing.assert_array_equal(owning.pairs._centered, copying.pairs._centered)
+        assert owning.chain.mean.tobytes() == mean.tobytes()
+        for kind, method in (("ellipsoid", "mis"), ("bonferroni", "uis")):
+            mine, theirs = owning.region(method, kind, 0.9), copying.region(method, kind, 0.9)
+            assert mine.center.tobytes() == theirs.center.tobytes()
+            assert mine.log_volume == theirs.log_volume
+
+    def test_raw_column_work_after_centering_is_a_named_error(self, tmp_path):
+        self._chain(tmp_path, p=1)
+        owning = Analysis._adopt(load_chain(tmp_path / "c.bin", "bin"))
+        owning.estimate("mis")
+        with pytest.raises(CenteredChainError):
+            owning.components
+        with pytest.raises(CenteredChainError):
+            owning.estimate("uis")
+        with pytest.raises(CenteredChainError):
+            owning.ess("uis")
+
+    def test_failed_centering_is_never_repeated(self, tmp_path):
+        values = np.random.default_rng(7).standard_normal((500, 3))
+        values[:, 1] *= 2.0**520
+        save_chain(Chain(values), tmp_path / "huge.bin", "bin")
+        owning = Analysis._adopt(load_chain(tmp_path / "huge.bin", "bin"))
+        with pytest.raises(MomentOverflowError, match="variance of column c2"):
+            owning.estimate("mis")
+        # the buffer is centered already: a second centering would be wrong
+        with pytest.raises(CenteredChainError):
+            owning.estimate("mis")
