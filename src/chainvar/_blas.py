@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import sys
 import threading
 from pathlib import Path
 
@@ -34,13 +35,15 @@ def _loaded_paths() -> list[str]:
     return sorted(path for path in paths if "openblas" in Path(path).name)
 
 
-@functools.cache
-def _controls() -> tuple:
+@functools.lru_cache(maxsize=1)
+def _scan(module_count: int) -> tuple:
     """(set, get) thread-count functions, one pair per loaded library.
 
-    Found once per process: importing chainvar loads numpy's BLAS and
-    scipy's (``scipy.special`` and ``scipy.linalg`` each load it), the only
-    ones it calls.
+    A library is mapped when a module that links it is imported: numpy
+    maps its own at import, and scipy's is mapped with the first of
+    ``scipy.special``, ``scipy.linalg`` or ``scipy.signal``.  So the scan
+    of ``/proc/self/maps`` (about 1 ms) is reused while the number of
+    imported modules, its only argument, stays the same.
     """
     controls = []
     for path in _loaded_paths():
@@ -54,17 +57,24 @@ def _controls() -> tuple:
     return tuple(controls)
 
 
+def _controls() -> tuple:
+    """The (set, get) pairs of every OpenBLAS that the modules imported so far loaded."""
+    return _scan(len(sys.modules))
+
+
 def pin_single_thread() -> None:
-    """Set every loaded OpenBLAS to one thread for the rest of the process."""
+    """Set every OpenBLAS loaded now to one thread for the rest of the process."""
     for setter, _ in _controls():
         setter(1)
 
 
 # The thread count is process-wide, so managers share one nesting count:
-# the outermost saves the counts and the last one to leave restores them.
+# the outermost pins every library loaded when it enters and saves each
+# one's count, and the last one to leave restores exactly those.  A library
+# first loaded inside the block keeps its own count.
 _lock = threading.Lock()
 _depth = 0
-_saved: list[int] = []
+_saved: list[tuple] = []
 
 
 @contextlib.contextmanager
@@ -73,8 +83,8 @@ def single_threaded_blas():
     global _depth
     with _lock:
         if _depth == 0:
-            _saved[:] = [getter() for _, getter in _controls()]
-            for setter, _ in _controls():
+            _saved[:] = [(setter, getter()) for setter, getter in _controls()]
+            for setter, _ in _saved:
                 setter(1)
         _depth += 1
     try:
@@ -83,5 +93,5 @@ def single_threaded_blas():
         with _lock:
             _depth -= 1
             if _depth == 0:
-                for (setter, _), count in zip(_controls(), _saved):
+                for setter, count in _saved:
                     setter(count)

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .autocov import LagPairSequence, MomentOverflowError, autocov
 from .chain import Chain
@@ -29,6 +28,19 @@ def _check_prob(prob: float) -> float:
     return prob
 
 
+def _special():
+    """``scipy.special``, imported on first use.
+
+    It loads ``array_api_compat``, ``numpy.f2py`` and ``numpy.testing``,
+    about 0.2 s at start-up, and only the region quantiles need it.
+    ``run_replications`` calls this before a fork pool starts, so the
+    workers inherit the module instead of each importing it.
+    """
+    from scipy import special
+
+    return special
+
+
 def chisq_quantile(prob: float, dof: int) -> float:
     """Inverse chi-square CDF with ``dof`` degrees of freedom.
 
@@ -38,12 +50,12 @@ def chisq_quantile(prob: float, dof: int) -> float:
     prob = _check_prob(prob)
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    return float(2 * special.gammaincinv(dof / 2, prob))
+    return float(2 * _special().gammaincinv(dof / 2, prob))
 
 
 def normal_quantile(prob: float) -> float:
     """Inverse standard normal CDF, as ``scipy.stats.norm.ppf`` evaluates it."""
-    return float(special.ndtri(_check_prob(prob)))
+    return float(_special().ndtri(_check_prob(prob)))
 
 
 def sample_cov(chain: Chain) -> np.ndarray:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -16,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._blas import pin_single_thread, single_threaded_blas
-from .diagnostics import Analysis, Region
+from .diagnostics import Analysis, Region, _special
 from .estimators import METHODS, NoPositiveDefinitePartialSum, uis_components
 from .samplers import MODELS, build, replication_stream, truth_stream
 from .symmat import NotPositiveDefiniteError
@@ -283,6 +282,8 @@ def _task_runner(workers: int):
     if workers == 1:
         yield lambda fn, *args: SimpleNamespace(result=partial(fn, *args))
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     # forked workers inherit one thread; the initializer covers start
     # methods that import numpy afresh
     pool = ProcessPoolExecutor(max_workers=workers, initializer=pin_single_thread)
@@ -320,6 +321,11 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    if config.regions:
+        # imported before the pool forks, so that the workers inherit the
+        # quantiles' module, and before the BLAS is pinned, so that the
+        # OpenBLAS it maps is pinned too
+        _special()
     with (single_threaded_blas(),
           _task_runner(workers if config.replications > 1 else 1) as submit):
         simulate, analytic = build(config.model, config.model_params)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..chain import Chain
 from ..symmat import symmetrize
@@ -94,6 +93,8 @@ def _modes(A: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d is real.  In B-coordinates the process decouples into independent
     scalar recursions with unit innovation variance.
     """
+    from scipy.linalg import solve_triangular  # about 0.07 s; only AR(1) needs it
+
     L = np.linalg.cholesky(V)
     m = solve_triangular(L, A @ L, lower=True)
     d, q = np.linalg.eigh(symmetrize(m))

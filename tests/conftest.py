@@ -1,8 +1,8 @@
 """Fixtures shared by the test modules."""
 
 import pytest
+import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS next to numpy's)
 
-import chainvar.experiments  # noqa: F401  (loads numpy's and scipy's BLAS)
 from chainvar import _blas
 
 

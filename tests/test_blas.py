@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS next to numpy's)
 
 import chainvar
-import chainvar.experiments  # noqa: F401  (loads numpy's and scipy's BLAS)
 from chainvar import _blas
 
 
@@ -73,12 +74,41 @@ class TestSingleThreadedBlas:
 
     def test_noop_without_openblas(self, two_threads, monkeypatch):
         monkeypatch.setattr(_blas, "_loaded_paths", lambda: [])
-        assert _blas._controls.__wrapped__() == ()
+        assert _blas._scan.__wrapped__(0) == ()
         monkeypatch.setattr(_blas, "_controls", lambda: ())
         with _blas.single_threaded_blas():
             assert _counts(two_threads) == [2] * len(two_threads)
         _blas.pin_single_thread()
         assert _counts(two_threads) == [2] * len(two_threads)
+
+    def test_library_loaded_inside_a_block_keeps_its_count(self, monkeypatch):
+        counts = {"numpy": 2, "scipy": 3, "late": 4}
+
+        def library(name):
+            return (lambda count: counts.__setitem__(name, count)), (lambda: counts[name])
+
+        loaded = [library("numpy"), library("scipy")]
+        monkeypatch.setattr(_blas, "_controls", lambda: tuple(loaded))
+        with _blas.single_threaded_blas():
+            assert counts == {"numpy": 1, "scipy": 1, "late": 4}
+            loaded.insert(0, library("late"))  # its path may sort first
+        assert counts == {"numpy": 2, "scipy": 3, "late": 4}
+
+    def test_rescans_only_after_an_import(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(_blas, "_loaded_paths", lambda: scans.append(1) or [])
+        _blas._scan.cache_clear()
+        try:
+            _blas._controls()
+            with _blas.single_threaded_blas():
+                pass
+            assert len(scans) == 1
+            monkeypatch.setitem(sys.modules, "_chainvar_probe", types.ModuleType("_chainvar_probe"))
+            with _blas.single_threaded_blas():
+                pass
+            assert len(scans) == 2
+        finally:
+            _blas._scan.cache_clear()
 
     def test_harness_restores_caller_threads(self, two_threads):
         config = chainvar.ExperimentConfig(

@@ -1,7 +1,10 @@
-"""Start-up imports: chainvar loads neither scipy.stats nor scipy.signal until
-an AR(1) simulator is built.  Each case runs in a fresh interpreter, since
-this test process has imported both."""
+"""Start-up imports: chainvar loads scipy and the process pool only where
+they run.  A bare import loads neither; an analysis loads ``scipy.special``
+only for a region's quantile, and an AR(1) simulator loads ``scipy.signal``
+and ``scipy.linalg``.  Each case runs in a fresh interpreter, since this
+test process has imported all of them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,10 +17,11 @@ from chainvar import Ar1Params, ar1_simulate, save_chain
 
 _SRC = str(Path(chainvar.__file__).resolve().parents[1])
 
-# the last line a case prints: which of the two modules it has loaded
+# the last line a case prints: the scipy and process-pool modules it has loaded
 _REPORT = """
 import sys
-print(" ".join(m for m in ("scipy.stats", "scipy.signal") if m in sys.modules))
+print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+               or m in ("multiprocessing", "concurrent.futures.process")))
 """
 
 
@@ -39,8 +43,11 @@ def stored_chains(tmp_path_factory):
     chain = ar1_simulate(Ar1Params.hadamard_fixture(4), 2_000, 7)
     paths = {}
     for fmt in ("bin", "csv"):
-        paths[fmt] = tmp_path_factory.mktemp("chains") / f"chain.{fmt}"
+        directory = tmp_path_factory.mktemp("chains")
+        paths[fmt] = directory / f"chain.{fmt}"
+        paths[fmt, "column"] = directory / f"column.{fmt}"
         save_chain(chain, paths[fmt], fmt)
+        save_chain(chain.column(0), paths[fmt, "column"], fmt)
     return paths
 
 
@@ -55,24 +62,59 @@ for argv in (["estimate", "--method", "mis"],
     assert main(argv + ["--input", path, "--format", fmt, "--output", out]) == 0, argv
 """
 
+_SIMULATE = """
+import sys, tempfile
+from chainvar.cli import main
+with tempfile.TemporaryDirectory() as out:
+    assert main(["simulate", "--model", sys.argv[1], "--n", "50", "--seed", "1",
+                 "--out", out + "/chain.bin"]) == 0
+"""
+
 _WITHOUT_AR1 = {
-    "import": "import chainvar, chainvar.cli",
-    "build ranef": "from chainvar.samplers import build\n"
-                   "build('ranef', {'K': 2})[0](50, 1)",
-    "build logistic": "from chainvar.samplers import build\n"
-                      "build('logistic', {})[0](50, 1)",
+    "import": ("import chainvar, chainvar.cli",),
+    "build ranef": ("from chainvar.samplers import build\n"
+                    "build('ranef', {'K': 2})[0](50, 1)",),
+    "build logistic": ("from chainvar.samplers import build\n"
+                       "build('logistic', {})[0](50, 1)",),
+    "simulate ranef": (_SIMULATE, "ranef"),
+    "simulate logistic": (_SIMULATE, "logistic"),
 }
 
 
-@pytest.mark.parametrize("code", _WITHOUT_AR1.values(), ids=_WITHOUT_AR1)
-def test_no_stats_or_signal_without_an_ar1_simulator(code):
-    assert _loaded(code) == set()
+@pytest.mark.parametrize("case", _WITHOUT_AR1.values(), ids=_WITHOUT_AR1)
+def test_no_stats_or_signal_without_an_ar1_simulator(case):
+    # nor any other scipy module, nor the process pool
+    assert _loaded(*case) == set()
 
 
 @pytest.mark.parametrize("fmt", ["bin", "csv"])
 def test_no_stats_or_signal_for_analyst_commands_on_a_stored_chain(stored_chains, tmp_path, fmt):
     path = stored_chains[fmt]
-    assert _loaded(_CLI_ON_STORED, str(path), fmt, str(tmp_path / "out.json")) == set()
+    loaded = _loaded(_CLI_ON_STORED, str(path), fmt, str(tmp_path / "out.json"))
+    # estimate and ess load no scipy (below), so the regions load special
+    assert "scipy.special" in loaded
+    assert loaded & {"scipy.stats", "scipy.signal", "scipy.linalg"} == set()
+
+
+_ESTIMATE_AND_ESS = """
+import sys
+from chainvar.cli import main
+from chainvar.estimators import METHODS
+chain, column, fmt, out = sys.argv[1:]
+for command in ("estimate", "ess"):
+    for method in METHODS:
+        # a uis estimate is of a univariate chain
+        for path in (column,) if (command, method) == ("estimate", "uis") else (chain, column):
+            argv = [command, "--method", method, "--input", path, "--format", fmt,
+                    "--output", out]
+            assert main(argv) == 0, argv
+"""
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_estimate_and_ess_load_no_scipy(stored_chains, tmp_path, fmt):
+    paths = str(stored_chains[fmt]), str(stored_chains[fmt, "column"])
+    assert _loaded(_ESTIMATE_AND_ESS, *paths, fmt, str(tmp_path / "out.json")) == set()
 
 
 def test_building_an_ar1_simulator_loads_signal():
@@ -84,7 +126,7 @@ def test_building_an_ar1_simulator_loads_signal():
 # imports.  A last pool, started after a marker, imports one module itself,
 # which shows that the hook sees imports in a worker.
 _POOL_IMPORTS = """
-import multiprocessing, os, sys
+import json, multiprocessing, os, sys
 from concurrent.futures import ProcessPoolExecutor
 from chainvar import ExperimentConfig, run_replications
 
@@ -96,35 +138,56 @@ def hook(event, args):
         os.write(2, f"worker import {args[0]}\\n".encode())
 
 sys.addaudithook(hook)
-config = ExperimentConfig.from_dict({
-    "model": "ar1", "model_params": {"kind": "hadamard", "p": 4},
-    "n": 500, "replications": 4, "master_seed": 3})
-run_replications(config, workers=2)
+run_replications(ExperimentConfig.from_dict(json.loads(sys.argv[1])), workers=2)
 os.write(2, b"control\\n")
 with ProcessPoolExecutor(1) as pool:
     pool.submit(exec, "import xml.dom.minidom").result()
 """
 
 
-def test_ar1_pool_workers_import_nothing():
-    lines = _run(_POOL_IMPORTS).stderr.splitlines()
+def _worker_imports(config: dict) -> list[str]:
+    lines = _run(_POOL_IMPORTS, json.dumps(config)).stderr.splitlines()
     marker = lines.index("control")
-    assert [line for line in lines[:marker] if line.startswith("worker import")] == []
     assert "worker import xml.dom.minidom" in lines[marker + 1:]
+    return [line for line in lines[:marker] if line.startswith("worker import")]
 
 
-_BLAS_LIBRARIES = """
-import chainvar
+def test_ar1_pool_workers_import_nothing():
+    assert _worker_imports({
+        "model": "ar1", "model_params": {"kind": "hadamard", "p": 4},
+        "n": 500, "replications": 4, "master_seed": 3}) == []
+
+
+def test_ranef_pool_workers_import_nothing():
+    # the truth runs in a worker, and every region needs a quantile there
+    assert _worker_imports({
+        "model": "ranef", "model_params": {"K": 2}, "n": 500, "replications": 4,
+        "regions": ["ellipsoid", "cube", "bonferroni"], "master_seed": 3,
+        "truth": {"kind": "long-run", "n_truth": 2_000}}) == []
+
+
+# After a pin has scanned the libraries of a bare import, scipy maps its own
+# OpenBLAS; the next outermost block must find it, pin it and restore it.
+_BLAS_AFTER_SCIPY = """
+import json
 from chainvar import _blas
-found = _blas._loaded_paths(), len(_blas._controls())
-import scipy.signal, scipy.stats
-print(found[0] == _blas._loaded_paths(), found[1], len(_blas._loaded_paths()))
+with _blas.single_threaded_blas():
+    pass
+import scipy.linalg, scipy.signal
+libraries = _blas._scan.__wrapped__(0)  # a scan of its own, which fills no cache
+assert len(libraries) == len(_blas._loaded_paths())
+for count, (setter, _) in enumerate(libraries, start=2):
+    setter(count)
+with _blas.single_threaded_blas():
+    inside = [getter() for _, getter in libraries]
+print(json.dumps([inside, [getter() for _, getter in libraries]]))
 """
 
 
-def test_bare_import_finds_every_openblas_scipy_loads():
-    same_paths, controls, libraries = _run(_BLAS_LIBRARIES).stdout.split()
-    if libraries == "0":
+def test_a_block_after_scipy_loads_pins_and_restores_its_openblas():
+    inside, after = json.loads(_run(_BLAS_AFTER_SCIPY).stdout)
+    if not inside:
         pytest.skip("no OpenBLAS found in /proc/self/maps")
-    assert same_paths == "True"
-    assert int(controls) == int(libraries)
+    assert len(inside) == 2  # numpy's and scipy's
+    assert inside == [1, 1]
+    assert after == [2, 3]
