@@ -106,7 +106,12 @@ class Chain:
 
     @property
     def mean(self) -> np.ndarray:
-        """Row mean, computed once (numpy pairwise summation) and cached."""
+        """Row mean, computed once and cached.
+
+        For p >= 2 numpy adds the rows one after another, in row order (the
+        streamed long-run truth relies on this); a single column is summed
+        pairwise.
+        """
         if self._mean is None:
             m = self._values.mean(axis=0)
             m.setflags(write=False)

@@ -16,12 +16,17 @@ import numpy as np
 
 from ._blas import pin_single_thread, single_threaded_blas
 from .diagnostics import Analysis, Region, _special
-from .estimators import METHODS, NoPositiveDefinitePartialSum, uis_components
-from .samplers import MODELS, build, replication_stream, truth_stream
+from .chain import _check_finite
+from .estimators import METHODS, NoPositiveDefinitePartialSum
+from .samplers import MODELS, SeedLike, build, replication_stream, truth_stream
+from .samplers.registry import Simulator
 from .symmat import NotPositiveDefiniteError
 
 REGION_KINDS = ("ellipsoid", "cube", "bonferroni")
 TRUTH_KINDS = ("analytic", "long-run", "external")
+
+# bytes of one block of a long-run truth
+_TRUTH_BLOCK_BYTES = 1 << 22
 
 CSV_COLUMNS = ("method", "ess_mean", "ess_se", "volroot_mean", "volroot_se",
                "coverage", "coverage_se", "fail_count")
@@ -138,7 +143,7 @@ class ReplicationReport:
         raise KeyError(f"no table row for method {method!r}")
 
 
-def _resolve_truth(config: ExperimentConfig, simulate,
+def _resolve_truth(config: ExperimentConfig, simulate: Simulator,
                    analytic: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     kind = config.truth["kind"]
     if kind == "analytic":
@@ -148,12 +153,46 @@ def _resolve_truth(config: ExperimentConfig, simulate,
     if kind == "external":
         return np.asarray(config.truth["vector"], dtype=np.float64), None
     n_truth = int(config.truth.get("n_truth", 10_000_000))
-    chain, _ = simulate(n_truth, truth_stream(config.master_seed))
-    se = np.empty(chain.p)
-    for j, est in enumerate(uis_components(chain)):
-        var = est.sigma2 if est.usable else float(chain.values[:, j].var())
-        se[j] = math.sqrt(var / n_truth)
-    return chain.mean.copy(), se
+    if n_truth < 2:
+        raise ValueError(f"a long-run truth needs n_truth >= 2, got {n_truth}")
+    return _long_run_truth(simulate, n_truth, truth_stream(config.master_seed))
+
+
+def _long_run_truth(simulate: Simulator, n_truth: int,
+                    seed: SeedLike) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of a long run and its batch-means standard errors, read
+    block by block, so that memory is bounded by a block, not by the run.
+
+    The mean is the one :attr:`Chain.mean` gives, bit for bit when p >= 2:
+    the running sum is added into each block's first row and the block is
+    then summed over rows, in row order.  The run is cut into a = n // b
+    batches of b = isqrt(n) rows (Flegal & Jones 2010), rows past a*b left
+    out, and the batch means give the variance of component j as
+    b/(a-1) * sum_k (batch mean kj - their mean j)^2.
+    """
+    p = simulate.p
+    b = math.isqrt(n_truth)
+    a = n_truth // b
+    batch_sums = np.zeros((a, p))
+    total = None
+    first = 0
+    for block in simulate.blocks(n_truth, seed, max(1, _TRUTH_BLOCK_BYTES // (8 * p))):
+        _check_finite(block, at=lambda i: f"row {first + i}")
+        batched = block[:max(0, a * b - first)]
+        if batched.size:
+            # the block's rows at which a batch starts, after its first row
+            starts = np.arange(b - first % b, batched.shape[0], b)
+            sums = np.add.reduceat(batched, np.concatenate(([0], starts)), axis=0)
+            batch_sums[first // b:first // b + sums.shape[0]] += sums
+        if total is not None:
+            block[0] += total  # the block is ours until the next one is drawn
+        total = np.add.reduce(block, axis=0)
+        first += block.shape[0]
+    del block  # the sampler's buffer
+    deviations = np.divide(batch_sums, b, out=batch_sums)
+    deviations -= deviations.mean(axis=0)
+    sigma2 = b / (a - 1) * np.einsum("kj,kj->j", deviations, deviations)
+    return total / n_truth, np.sqrt(sigma2 / n_truth)
 
 
 def _truth_task(config: ExperimentConfig, simulate,
@@ -321,14 +360,14 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    # the model and the quantiles' module are loaded before the pool forks,
+    # so that the workers inherit them, and before the BLAS is pinned, so
+    # that the OpenBLAS they map (scipy's) is pinned too
+    simulate, analytic = build(config.model, config.model_params)
     if config.regions:
-        # imported before the pool forks, so that the workers inherit the
-        # quantiles' module, and before the BLAS is pinned, so that the
-        # OpenBLAS it maps is pinned too
         _special()
     with (single_threaded_blas(),
           _task_runner(workers if config.replications > 1 else 1) as submit):
-        simulate, analytic = build(config.model, config.model_params)
         truth_task = submit(_truth_task, config, simulate, analytic)
         tasks = [submit(_replication_record, config, simulate, index)
                  for index in range(config.replications)]

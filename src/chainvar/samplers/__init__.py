@@ -4,7 +4,7 @@
 """
 
 from ._rng import SeedLike, as_generator, replication_stream, truth_stream
-from .ar1 import Ar1Params, Ar1Truth, ar1_simulate, ar1_truth
+from .ar1 import Ar1Params, Ar1Truth, ar1_blocks, ar1_simulate, ar1_truth
 from .hadamard import SUPPORTED_ORDERS, hadamard
 from .logistic import (
     SYNTHETIC_TRUE_BETA,
@@ -16,12 +16,14 @@ from .logistic import (
     log_posterior_grad,
     log_prior,
     random_walk_metropolis,
+    random_walk_metropolis_blocks,
     rwm_logistic,
 )
 from .random_effects import (
     RandomEffectsHyper,
     RandomEffectsState,
     coordinate_names,
+    gibbs_blocks,
     gibbs_random_effects,
     simulate_dataset,
 )
@@ -34,6 +36,7 @@ __all__ = [
     "truth_stream",
     "Ar1Params",
     "Ar1Truth",
+    "ar1_blocks",
     "ar1_simulate",
     "ar1_truth",
     "SUPPORTED_ORDERS",
@@ -47,10 +50,12 @@ __all__ = [
     "log_posterior_grad",
     "log_prior",
     "random_walk_metropolis",
+    "random_walk_metropolis_blocks",
     "rwm_logistic",
     "RandomEffectsHyper",
     "RandomEffectsState",
     "coordinate_names",
+    "gibbs_blocks",
     "gibbs_random_effects",
     "simulate_dataset",
     "MODELS",

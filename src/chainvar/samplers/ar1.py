@@ -10,6 +10,7 @@ covariance, so estimator output can be checked against ground truth.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,29 +178,51 @@ def _lfilter():
     return lfilter
 
 
-def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
-    """Simulate n steps started from the stationary distribution.
+def ar1_blocks(params: Ar1Params, n: int, seed: SeedLike,
+               rows: int) -> Iterator[np.ndarray]:
+    """Simulate n steps started from the stationary distribution, as
+    consecutive blocks of ``rows`` rows (the last block may be shorter).
 
     The recursion is run in the decoupling coordinates of
     :func:`Ar1Params` (independent scalar AR(1) components, evaluated
-    with a compiled linear filter), then mapped back.  Deterministic:
-    identical seeds give bit-identical chains.
+    with a compiled linear filter), then mapped back.  Each block draws
+    its ``(m, p)`` innovation rows in stream order and carries every
+    mode's filter state to the next, so the modes do not depend on the
+    block size.  The map back is one BLAS product per block, whose last
+    bits can depend on the block's row count: blocks of fewer than n
+    rows agree with :func:`ar1_simulate` to rounding, not bit for bit.
+    Deterministic: identical seeds and block sizes give bit-identical
+    blocks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if rows < 1:
+        raise ValueError(f"need rows >= 1, got {rows}")
     lfilter = _lfilter()
     rng = as_generator(seed)
     d, basis, p = params._decays, params._basis, params.p
     # innovation mean and X_0 in decoupled coordinates
     wbar = np.linalg.solve(basis, params.theta)
     z0 = wbar / (1.0 - d) + rng.standard_normal(p) / np.sqrt(1.0 - d**2)
-    # innovations are drawn row by row, shifted and transposed in one pass;
-    # each mode is then filtered in place as one contiguous row
-    w = np.add(rng.standard_normal((n, p)).T, wbar[:, None], out=np.empty((p, n)))
-    for k in range(p):
-        w[k], _ = lfilter([1.0], [1.0, -d[k]], w[k], zi=[d[k] * z0[k]])
-    # mapped back from row-major modes: a product over another layout can
-    # round differently
-    z = np.ascontiguousarray(w.T)
-    del w
-    return Chain._adopt(z @ basis.T)
+    state = d * z0  # each mode's filter state, carried from block to block
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        # innovations are drawn row by row, shifted and transposed in one
+        # pass; each mode is then filtered in place as one contiguous row
+        w = np.add(rng.standard_normal((m, p)).T, wbar[:, None], out=np.empty((p, m)))
+        for k in range(p):
+            w[k], state[k:k + 1] = lfilter([1.0], [1.0, -d[k]], w[k], zi=state[k:k + 1])
+        # mapped back from row-major modes: a product over another layout can
+        # round differently
+        z = np.ascontiguousarray(w.T)
+        del w
+        block = z @ basis.T
+        del z
+        yield block
+
+
+def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
+    """Simulate n steps started from the stationary distribution: the
+    chain of :func:`ar1_blocks` as one block.  Deterministic: identical
+    seeds give bit-identical chains."""
+    return Chain._adopt(next(ar1_blocks(params, n, seed, n)))

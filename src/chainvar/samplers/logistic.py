@@ -10,7 +10,9 @@ coefficient vector.
 
 from __future__ import annotations
 
+import copy
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib.resources import files
 
@@ -25,6 +27,9 @@ SYNTHETIC_SEED = 20260809
 _DATA_RESOURCE = "logit_synthetic.csv"
 
 PRIOR_VARIANCE = 4.0
+
+# normals per draw while the generator skips the increments
+_SKIP_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,33 +124,64 @@ class RwmRun:
     acceptance_rate: float
 
 
-def random_walk_metropolis(logpdf, initial, step_sd: float, n: int,
-                           seed: SeedLike) -> RwmRun:
-    """Symmetric random walk Metropolis with isotropic normal increments.
+def random_walk_metropolis_blocks(logpdf, initial, step_sd: float, n: int, seed: SeedLike,
+                                  rows: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Symmetric random walk Metropolis with isotropic normal increments,
+    as consecutive blocks of ``rows`` rows (the last block may be shorter).
 
-    Records the state after each of the n iterations.  Deterministic
-    given the seed: proposal increments and acceptance uniforms are drawn
-    up front in a fixed order.
+    Records the state after each of the n iterations, and yields each
+    block with the number of proposals accepted so far.  The stream is
+    that of drawing all n increment rows, then all n acceptance uniforms:
+    the increments come from a copy of the generator, and the generator
+    itself skips them before it draws the uniforms, a block at a time.
+    So the blocks, concatenated, are the chain of
+    :func:`random_walk_metropolis` bit for bit, whatever ``rows`` is, and
+    a ``Generator`` passed as ``seed`` ends in the same state.
     """
     if step_sd <= 0.0:
         raise ValueError(f"step_sd must be > 0, got {step_sd}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if rows < 1:
+        raise ValueError(f"need rows >= 1, got {rows}")
     rng = as_generator(seed)
+    increments_rng = copy.deepcopy(rng)
     x = np.array(initial, dtype=np.float64).reshape(-1)
-    increments = rng.normal(0.0, step_sd, size=(n, x.shape[0]))
-    log_uniforms = np.log(rng.uniform(size=n))
-    out = np.empty((n, x.shape[0]))
+    p = x.shape[0]
+    # standard_normal draws exactly the bits that normal(0, step_sd) draws
+    skip = np.empty(min(n * p, _SKIP_DRAWS))
+    for left in range(n * p, 0, -skip.size):
+        rng.standard_normal(out=skip[:min(left, skip.size)])
+    del skip
     logp = float(logpdf(x))
     accepted = 0
-    for i in range(n):
-        proposal = x + increments[i]
-        logp_prop = float(logpdf(proposal))
-        if log_uniforms[i] <= logp_prop - logp:
-            x = proposal
-            logp = logp_prop
-            accepted += 1
-        out[i] = x
+    for first in range(0, n, rows):
+        m = min(rows, n - first)
+        increments = increments_rng.normal(0.0, step_sd, size=(m, p))
+        log_uniforms = np.log(rng.uniform(size=m))
+        out = np.empty((m, p))
+        for i in range(m):
+            proposal = x + increments[i]
+            logp_prop = float(logpdf(proposal))
+            if log_uniforms[i] <= logp_prop - logp:
+                x = proposal
+                logp = logp_prop
+                accepted += 1
+            out[i] = x
+        del increments, log_uniforms
+        yield out, accepted
+
+
+def random_walk_metropolis(logpdf, initial, step_sd: float, n: int,
+                           seed: SeedLike) -> RwmRun:
+    """Symmetric random walk Metropolis with isotropic normal increments:
+    the chain of :func:`random_walk_metropolis_blocks` as one block.
+
+    Records the state after each of the n iterations.  Deterministic
+    given the seed: proposal increments and acceptance uniforms are drawn
+    in a fixed order.
+    """
+    out, accepted = next(random_walk_metropolis_blocks(logpdf, initial, step_sd, n, seed, n))
     return RwmRun(Chain._adopt(out), accepted / n)
 
 

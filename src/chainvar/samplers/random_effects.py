@@ -21,6 +21,7 @@ small vector operations whichever block it picks.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from numbers import Real
 
@@ -213,13 +214,17 @@ def simulate_dataset(K: int, seed: SeedLike = 0) -> np.ndarray:
     return rng.standard_normal(K) + rng.standard_normal(K)
 
 
-def gibbs_random_effects(y, hyper: RandomEffectsHyper | None = None, n: int = 1,
-                         seed: SeedLike = 0) -> Chain:
-    """Run the random scan Gibbs sampler for n iterations.
+def gibbs_blocks(y, hyper: RandomEffectsHyper | None, n: int, seed: SeedLike,
+                 rows: int) -> Iterator[np.ndarray]:
+    """Run the random scan Gibbs sampler for n iterations, as consecutive
+    blocks of ``rows`` rows (the last block may be shorter).
 
     Starts from ``theta = y``, ``mu = mean(y)`` and unit precisions, and
-    records all 3K+2 coordinates after every iteration.  Deterministic
-    given the seed; every recorded precision is strictly positive.
+    records all 3K+2 coordinates after every iteration.  The sweep and
+    the generator carry the chain from one block to the next, so the
+    blocks, concatenated, are the chain of :func:`gibbs_random_effects`
+    bit for bit, whatever ``rows`` is.  Every block is written into one
+    buffer: a block is the caller's until the next one is asked for.
 
     The block choice reads the bit generator through its ctypes
     interface, which does not take the generator's lock: a ``Generator``
@@ -233,6 +238,8 @@ def gibbs_random_effects(y, hyper: RandomEffectsHyper | None = None, n: int = 1,
         raise ValueError("y must be finite")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if rows < 1:
+        raise ValueError(f"need rows >= 1, got {rows}")
     hyper = hyper or RandomEffectsHyper()
     rng = as_generator(seed)
     start = RandomEffectsState(theta=y.copy(), mu=float(y.mean()), lam_theta=1.0,
@@ -248,8 +255,22 @@ def gibbs_random_effects(y, hyper: RandomEffectsHyper | None = None, n: int = 1,
     bits = rng.bit_generator.ctypes
     next_uint32, bitgen = bits.next_uint32, bits.state
     row = sweep.row
-    out = np.empty((n, 3 * K + 2))
-    for i in range(n):
-        draws[next_uint32(bitgen) >> 30]()
-        out[i] = row
-    return Chain._adopt(out)
+    buffer = np.empty((min(rows, n), 3 * K + 2))
+    for first in range(0, n, rows):
+        out = buffer[:min(rows, n - first)]
+        for i in range(out.shape[0]):
+            draws[next_uint32(bitgen) >> 30]()
+            out[i] = row
+        yield out
+
+
+def gibbs_random_effects(y, hyper: RandomEffectsHyper | None = None, n: int = 1,
+                         seed: SeedLike = 0) -> Chain:
+    """Run the random scan Gibbs sampler for n iterations: the chain of
+    :func:`gibbs_blocks` as one block.  Deterministic given the seed;
+    every recorded precision is strictly positive.
+
+    A ``Generator`` passed as ``seed`` must not be used by another thread
+    during the run (see :func:`gibbs_blocks`).
+    """
+    return Chain._adopt(next(gibbs_blocks(y, hyper, n, seed, n)))

@@ -118,6 +118,40 @@ class TestSingleThreadedBlas:
         assert _counts(two_threads) == [2] * len(two_threads)
 
 
+_COUNTS_DRIVER = """
+import json
+from chainvar import ExperimentConfig, _blas, experiments, run_replications
+def counts():
+    return [getter() for _, getter in _blas._controls()]
+inside, real = [], experiments._replication_record
+def probe(*args):
+    inside.append(counts())
+    return real(*args)
+experiments._replication_record = probe
+before = counts()
+# no regions, so only building the ar1 model maps scipy's OpenBLAS
+config = ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 4}, n=500,
+                          replications=2, methods=("mis",), regions=(), master_seed=1)
+run_replications(config, workers=1)
+print(json.dumps({"before": before, "inside": inside, "after": counts()}))
+"""
+
+
+def test_a_library_the_model_maps_is_pinned_too():
+    # the harness builds the model before it pins BLAS, so scipy's OpenBLAS,
+    # which only the ar1 model loads, runs on one thread as numpy's does
+    src = str(Path(chainvar.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _COUNTS_DRIVER], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    counts = json.loads(out)
+    if counts["before"] != [2]:
+        pytest.skip(f"expected numpy's OpenBLAS alone on two threads, found {counts['before']}")
+    assert counts["inside"] == [[1, 1]] * 2
+    assert counts["after"] == [2, 2]
+
+
 # Small versions of the benchmark configs.  n = 2e4 is above OpenBLAS's
 # threading threshold for a dot product (1e4), so a second BLAS thread
 # would change the last digits of every uis field.

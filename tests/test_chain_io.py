@@ -481,6 +481,17 @@ def test_one_dimensional_input_becomes_a_column():
         chain.column(1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 12, 65])
+@pytest.mark.parametrize("n", [1, 9, 1000, 100_003])
+def test_mean_sums_rows_in_order(n, p):
+    # the streamed long-run truth reproduces the mean by a running sum, so
+    # for p >= 2 the mean must add the rows one after another, in row order
+    rng = np.random.default_rng(n * p)
+    values = rng.standard_normal((n, p)) * np.exp(5.0 * rng.standard_normal((n, 1)))
+    running = np.add.accumulate(values, axis=0)[-1] / n
+    assert Chain(values).mean.tobytes() == running.tobytes()
+
+
 def test_unknown_format_rejected(tmp_path):
     chain = Chain([[1.0]])
     with pytest.raises(ValueError):

@@ -4,12 +4,14 @@ import importlib
 import json
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chainvar import (
     ExperimentConfig,
+    NonFiniteValueError,
     diagnostics,
     emit_tables,
     estimators,
@@ -217,22 +219,115 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+# models whose blocks concatenate to the chain bit for bit (for AR(1), a
+# diagonal A: its map back from the modes is exact)
+_TRUTH_MODELS = {
+    "ar1": {"A": np.diag([0.5, -0.3, 0.8]).tolist(), "V": np.eye(3).tolist(),
+            "theta": [1.0, 2.0, -1.0]},
+    "logistic": {},
+    "ranef": {"K": 2},
+}
+
+
+def _batch_means_se(values, b):
+    """Batch-means standard errors of the whole chain, from its first a*b rows."""
+    n, p = values.shape
+    a = n // b
+    means = values[:a * b].reshape(a, b, p).mean(axis=1)
+    sigma2 = b / (a - 1) * ((means - means.mean(axis=0)) ** 2).sum(axis=0)
+    return np.sqrt(sigma2 / n)
+
+
+class TestLongRunTruth:
+    @pytest.mark.parametrize("block_bytes", [8 * 8 * 37, experiments._TRUTH_BLOCK_BYTES],
+                             ids=["small-blocks", "default-blocks"])
+    @pytest.mark.parametrize("n_truth", [2, 3, 4_999])
+    @pytest.mark.parametrize("model", sorted(_TRUTH_MODELS))
+    def test_streamed_truth_is_the_chain_mean(self, monkeypatch, model, n_truth, block_bytes):
+        # small blocks are 37 rows at ranef K=2; the mean keeps the bits of
+        # Chain.mean (p >= 2), and batch-mean sums that straddle a block are
+        # added in another order, so se agrees to rounding
+        monkeypatch.setattr(experiments, "_TRUTH_BLOCK_BYTES", block_bytes)
+        simulate, _ = build(model, _TRUTH_MODELS[model])
+        truth, se = experiments._long_run_truth(simulate, n_truth, experiments.truth_stream(4))
+        chain, _ = simulate(n_truth, experiments.truth_stream(4))
+        assert truth.tobytes() == chain.mean.tobytes()
+        np.testing.assert_allclose(se, _batch_means_se(chain.values, int(n_truth ** 0.5)),
+                                   rtol=1e-12)
+
+    def test_batch_means_pin_a_constant_and_an_iid_column(self):
+        # b = 100, a = 100: a constant column has se 0, and iid draws an se
+        # close to sd / sqrt(n)
+        rng = np.random.default_rng(5)
+        values = np.column_stack([np.full(10_000, 3.0), rng.standard_normal(10_000)])
+        simulate = _FixedSimulator(values)
+        truth, se = experiments._long_run_truth(simulate, 10_000, None)
+        assert truth[0] == 3.0 and se[0] == 0.0
+        assert abs(se[1] / (values[:, 1].std() / 100.0) - 1.0) < 0.3
+
+    def test_a_non_finite_row_is_named_by_its_index_in_the_run(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_TRUTH_BLOCK_BYTES", 8 * 2 * 10)
+        values = np.ones((100, 2))
+        values[57, 1] = np.nan
+        with pytest.raises(NonFiniteValueError, match="at row 57, column c2$"):
+            experiments._long_run_truth(_FixedSimulator(values), 100, None)
+
+    def test_a_short_run_raises_before_it_simulates(self):
+        config = scalar_config(truth={"kind": "long-run", "n_truth": 1})
+        with pytest.raises(ValueError, match="^a long-run truth needs n_truth >= 2, got 1$"):
+            experiments._resolve_truth(config, _FixedSimulator(None), None)
+
+    @pytest.mark.parametrize("model, n_truth", [("ar1", 100_000), ("ranef", 3_000)])
+    def test_memory_stays_flat_as_the_run_grows(self, monkeypatch, model, n_truth):
+        # tracemalloc peaks at n_truth and 10 n_truth: one block and the
+        # batch sums (about sqrt(n) rows), not the chain
+        monkeypatch.setattr(experiments, "_TRUTH_BLOCK_BYTES", 1 << 16)
+        simulate, _ = build(model, _TRUTH_MODELS[model])
+        peaks = []
+        for n in (n_truth, 10 * n_truth):
+            tracemalloc.start()
+            try:
+                experiments._long_run_truth(simulate, n, experiments.truth_stream(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+
+class _FixedSimulator:
+    """Yields the rows of a fixed array in blocks; a chain it was not given fails."""
+
+    def __init__(self, values):
+        self.values = values
+        self.p = 2
+
+    def blocks(self, n, seed, rows):
+        assert self.values is not None, "the run was simulated"
+        for first in range(0, n, rows):
+            yield self.values[first:first + rows].copy()
+
+
 class TestOverlap:
     @pytest.mark.parametrize("workers, parent_rows", [(1, [5_000, 2_000, 2_000, 2_000]),
                                                       (2, [])])
     def test_long_run_truth_runs_in_a_worker(self, monkeypatch, workers, parent_rows):
-        # one worker simulates the truth, then each replication, in this
-        # process; with a pool this process simulates nothing (the workers'
-        # appends stay in the workers)
+        # one worker simulates the truth, in blocks, then each replication,
+        # in this process; with a pool this process simulates nothing (the
+        # workers' appends stay in the workers)
         registry = importlib.import_module("chainvar.samplers.registry")
-        real = registry.gibbs_random_effects
+        real_chain, real_blocks = registry.gibbs_random_effects, registry.gibbs_blocks
         rows = []
 
-        def recording(y, hyper, n, seed):
+        def recording_chain(y, hyper, n, seed):
             rows.append(n)
-            return real(y, hyper, n, seed)
+            return real_chain(y, hyper, n, seed)
 
-        monkeypatch.setattr(registry, "gibbs_random_effects", recording)
+        def recording_blocks(y, hyper, n, seed, block_rows):
+            rows.append(n)
+            return real_blocks(y, hyper, n, seed, block_rows)
+
+        monkeypatch.setattr(registry, "gibbs_random_effects", recording_chain)
+        monkeypatch.setattr(registry, "gibbs_blocks", recording_blocks)
         config = ExperimentConfig(model="ranef", model_params={"K": 2, "data_seed": 0},
                                   n=2_000, replications=3, methods=("mis",),
                                   regions=("ellipsoid",),
@@ -244,7 +339,7 @@ class TestOverlap:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("truth, match", [
         ({"kind": "external", "vector": [0.0] * 11}, r"point shape \(11,\) != center shape"),
-        ({"kind": "long-run", "n_truth": 1}, "uis needs n >= 2"),
+        ({"kind": "long-run", "n_truth": 1}, r"long-run truth needs n_truth >= 2, got 1"),
     ], ids=["wrong-length-truth", "truth-raises"])
     def test_an_error_stops_the_run_early(self, truth, match, workers):
         # 100 replications of about 0.1 s: the error must surface within a

@@ -29,7 +29,7 @@ from chainvar import (
     simulate_dataset,
     uis,
 )
-from chainvar.samplers import MODELS, build
+from chainvar.samplers import MODELS, ar1_blocks, build
 from chainvar.samplers import ar1 as ar1_module
 from chainvar.samplers.ar1 import _modes
 from chainvar.samplers.logistic import generate_logit_data, log_prior
@@ -227,6 +227,19 @@ class TestAr1Simulate:
         with pytest.raises(ValueError):
             ar1_simulate(Ar1Params.scalar(0.5), 0, seed=1)
 
+    # the Hadamard fixture at p = 12, n = 1e4.  The last bits of the map back
+    # are those of one BLAS product over the whole chain, here OpenBLAS
+    # 0.3.31's; a BLAS build with other kernels can move them
+    CHAIN_SHA256 = {
+        1: "6cf6a3cb48144835b7ee3b45b55746c50410a76c905b56d330c3b4503932bcf2",
+        2: "eea384b99cfdfa5dc7ee2fd2598b413da9e473966de5718a5c82d30ecd99045a",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CHAIN_SHA256))
+    def test_chain_bytes_pinned(self, seed, blas_threads):
+        values = ar1_simulate(Ar1Params.hadamard_fixture(12), 10_000, seed).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == self.CHAIN_SHA256[seed]
+
     def test_modes_are_computed_once_per_params(self, monkeypatch):
         # truth and simulation read the decoupling that validation computed,
         # also on params that crossed a pickle (as for a worker process)
@@ -313,6 +326,17 @@ class TestRandomWalkMetropolis:
                 backward = int(np.sum((states[:-1] == j) & (states[1:] == i)))
                 gap = abs(forward - backward)
                 assert gap <= 5.0 * math.sqrt(forward + backward + 1.0), (i, j)
+
+    # the packaged data at step_sd = 0.3, n = 2e4
+    CHAIN_SHA256 = {
+        1: "8e774c78801d324fa7aca7161d7715af728607011613384618f7957cd2f5e411",
+        2: "b8ef33f47eeea12ebe5d318835beb6692ec52ee28707505298f8be376aa82b06",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CHAIN_SHA256))
+    def test_chain_bytes_pinned(self, seed):
+        values = rwm_logistic(load_logit_data(), 0.3, 20_000, seed).chain.values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == self.CHAIN_SHA256[seed]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -699,3 +723,49 @@ def test_explicit_data_builds_the_default_simulator(model, default, explicit, tm
     a, _ = build(model, default)[0](300, 4)
     b, _ = build(model, explicit)[0](300, 4)
     assert np.array_equal(a.values, b.values)
+
+
+# Blocks concatenate to the chain bit for bit where the sampler's arithmetic
+# does not depend on the block: always for Gibbs and RWM, and for AR(1)
+# where the map back from the modes is exact, as with a diagonal A (whose
+# basis is a permutation).  Otherwise the map back is one BLAS product per
+# block, whose last bits depend on the row count.
+_BLOCK_PARAMS = {
+    "ar1": {"A": np.diag([0.5, -0.3, 0.8]).tolist(), "V": np.eye(3).tolist(),
+            "theta": [1.0, 2.0, -1.0]},
+    "logistic": {},
+    "ranef": {"K": 3},
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 997, "n", "n+3"])
+@pytest.mark.parametrize("model", MODELS)
+def test_blocks_concatenate_to_the_chain(model, rows):
+    n = 2_000
+    rows = {"n": n, "n+3": n + 3}.get(rows, rows)
+    simulate, _ = build(model, _BLOCK_PARAMS[model])
+    whole, blocked = (np.random.Generator(np.random.PCG64(91)) for _ in range(2))
+    chain, _ = simulate(n, whole)
+    # a block is the caller's only until the next one is drawn
+    blocks = [block.copy() for block in simulate.blocks(n, blocked, rows)]
+    sizes = [min(rows, n - first) for first in range(0, n, rows)]
+    assert [block.shape for block in blocks] == [(m, simulate.p) for m in sizes]
+    assert np.concatenate(blocks).tobytes() == chain.values.tobytes()
+    assert _same_state(whole.bit_generator.state, blocked.bit_generator.state)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 997])
+def test_ar1_blocks_agree_to_rounding(rows):
+    params = Ar1Params.hadamard_fixture(12)
+    whole, blocked = (np.random.Generator(np.random.PCG64(92)) for _ in range(2))
+    chain = ar1_simulate(params, 3_000, whole).values
+    got = np.concatenate(list(ar1_blocks(params, 3_000, blocked, rows)))
+    np.testing.assert_allclose(got, chain, rtol=0.0, atol=1e-14 * np.abs(chain).max())
+    assert _same_state(whole.bit_generator.state, blocked.bit_generator.state)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_blocks_need_a_row(model):
+    simulate, _ = build(model, _BUILD_PARAMS[model])
+    with pytest.raises(ValueError, match="need rows >= 1, got 0"):
+        next(simulate.blocks(10, 1, 0))
