@@ -362,7 +362,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
         raise ValueError(f"need workers >= 1, got {workers}")
     # the model and the quantiles' module are loaded before the pool forks,
     # so that the workers inherit them, and before the BLAS is pinned, so
-    # that the OpenBLAS they map (scipy's) is pinned too
+    # that the OpenBLAS the quantiles' module maps (scipy's) is pinned too
     simulate, analytic = build(config.model, config.model_params)
     if config.regions:
         _special()

@@ -6,6 +6,11 @@ is symmetric, and when the spectral radius of A is below one it has the
 stationary law ``N((I-A)^{-1} theta, (I-A^2)^{-1} V)``.  This makes it the
 one fixture with fully analytic lag autocovariances and long-run
 covariance, so estimator output can be checked against ground truth.
+
+Chains are simulated in NumPy alone: the process decouples into scalar
+recursions, which are filtered in fixed chunks of 4096 rows by batched
+Toeplitz products and mapped back one chunk at a time, so the blocks of
+:func:`ar1_blocks` are the chain of :func:`ar1_simulate` bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ class Ar1Params:
     Validated on construction: ``A V`` symmetric to 1e-12 (the
     detailed-balance condition) and spectral radius of A below one.  The
     decoupling of :func:`_modes` that the check computes is kept for
-    :func:`ar1_truth` and :func:`ar1_simulate`.
+    :func:`ar1_truth` and the samplers, which filter each mode in chunks
+    of 4096 rows (:func:`ar1_blocks`).
     """
 
     A: np.ndarray
@@ -94,10 +100,8 @@ def _modes(A: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d is real.  In B-coordinates the process decouples into independent
     scalar recursions with unit innovation variance.
     """
-    from scipy.linalg import solve_triangular  # about 0.07 s; only AR(1) needs it
-
     L = np.linalg.cholesky(V)
-    m = solve_triangular(L, A @ L, lower=True)
+    m = np.linalg.solve(L, A @ L)
     d, q = np.linalg.eigh(symmetrize(m))
     return d, L @ q
 
@@ -164,18 +168,63 @@ def ar1_truth(params: Ar1Params) -> Ar1Truth:
     return Ar1Truth(mu, params._decays, params._basis)
 
 
-def _lfilter():
-    """``scipy.signal.lfilter``, imported on first use.
+# The modes are filtered in chunks of _CHUNK = S * S rows (S = _SIDE),
+# aligned to the start of the chain, each viewed as S sub-rows of S rows.
+# The last chunk is zero-padded, so every product has the same operands and
+# shape whatever block size the caller asks for.
+_SIDE = 64
+_CHUNK = _SIDE * _SIDE
 
-    ``scipy.signal`` loads ``scipy.stats``, most of a second and some
-    40 MB at start-up, so only a process that simulates AR(1) chains
-    pays for it.  ``registry.build`` calls this too, before a fork pool
-    starts, so the workers inherit the module instead of each importing
-    it.
+
+def _toeplitz(decay: np.ndarray) -> np.ndarray:
+    """(p, S, S) transposed lower-triangular Toeplitz matrices of ``decay``:
+    entry [k, j, i] is ``decay[k] ** (i - j)`` for i >= j and 0 otherwise."""
+    lag = np.arange(_SIDE) - np.arange(_SIDE)[:, None]
+    powers = decay[:, None] ** np.arange(_SIDE)
+    return np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)
+
+
+def _chunks(params: Ar1Params, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The n rows of the chain in chunks of ``_CHUNK`` rows, the last one
+    padded; each chunk is the caller's until the next one is asked for.
+
+    Each chunk draws its ``(m, p)`` innovation rows in stream order.  In
+    sub-row a, mode k is first filtered from zero: the product of its S
+    innovations with the Toeplitz matrix of d_k.  The state before each
+    sub-row is the product of the sub-rows' last values with the Toeplitz
+    matrix of d_k^S, plus d_k^(S a) times the chunk's starting state, and
+    it reaches row i of the sub-row with decay d_k^(i+1).  The chunk's last
+    row starts the next chunk.
     """
-    from scipy.signal import lfilter
-
-    return lfilter
+    d, basis, p = params._decays, params._basis, params.p
+    within, across = _toeplitz(d), _toeplitz(d**_SIDE)
+    into_row = d[:, None] ** np.arange(1, _SIDE + 1)
+    into_sub_row = across[:, 0, :]
+    # innovation mean and X_0 in decoupled coordinates
+    wbar = np.linalg.solve(basis, params.theta)
+    state = wbar / (1.0 - d) + rng.standard_normal(p) / np.sqrt(1.0 - d**2)
+    # four chunk buffers, reused: innovation rows (later the filtered modes'
+    # rows), modes (later the carry into each row), filtered modes, and the
+    # chunk mapped back
+    row_major, w, z, chunk = (np.empty(shape) for shape in [(_CHUNK, p), (p, _SIDE, _SIDE),
+                                                            (p, _SIDE, _SIDE), (_CHUNK, p)])
+    modes = w.reshape(p, _CHUNK)
+    before = np.empty((p, _SIDE, 1))
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        rng.standard_normal(out=row_major[:m])
+        np.add(row_major[:m].T, wbar[:, None], out=modes[:, :m])
+        modes[:, m:] = 0.0
+        np.matmul(w, within, out=z)
+        before[:, 0, 0] = 0.0
+        before[:, 1:, 0] = np.matmul(z[:, None, :, -1], across)[:, 0, :-1]
+        before[:, :, 0] += into_sub_row * state[:, None]
+        z += np.multiply(before, into_row[:, None, :], out=w)
+        state = z[:, -1, -1].copy()
+        # mapped back from row-major modes: a product over another layout can
+        # round differently
+        row_major[...] = z.reshape(p, _CHUNK).T
+        yield np.matmul(row_major, basis.T, out=chunk)
 
 
 def ar1_blocks(params: Ar1Params, n: int, seed: SeedLike,
@@ -184,45 +233,37 @@ def ar1_blocks(params: Ar1Params, n: int, seed: SeedLike,
     consecutive blocks of ``rows`` rows (the last block may be shorter).
 
     The recursion is run in the decoupling coordinates of
-    :func:`Ar1Params` (independent scalar AR(1) components, evaluated
-    with a compiled linear filter), then mapped back.  Each block draws
-    its ``(m, p)`` innovation rows in stream order and carries every
-    mode's filter state to the next, so the modes do not depend on the
-    block size.  The map back is one BLAS product per block, whose last
-    bits can depend on the block's row count: blocks of fewer than n
-    rows agree with :func:`ar1_simulate` to rounding, not bit for bit.
-    Deterministic: identical seeds and block sizes give bit-identical
-    blocks.
+    :func:`Ar1Params` (independent scalar AR(1) components), then mapped
+    back.  Both run in fixed chunks of 4096 rows from the start of the
+    chain, the last one zero-padded, as batched Toeplitz products (see
+    :func:`_chunks`), and the blocks are copied from the chunks.  So every
+    product has the same operands whatever ``rows`` is, and blocks of any
+    size concatenate to the chain of :func:`ar1_simulate` bit for bit; a
+    ``Generator`` passed as seed ends in the same state.  The sampler holds
+    six chunks of p columns besides the block.  Deterministic: identical
+    seeds give bit-identical blocks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if rows < 1:
         raise ValueError(f"need rows >= 1, got {rows}")
-    lfilter = _lfilter()
-    rng = as_generator(seed)
-    d, basis, p = params._decays, params._basis, params.p
-    # innovation mean and X_0 in decoupled coordinates
-    wbar = np.linalg.solve(basis, params.theta)
-    z0 = wbar / (1.0 - d) + rng.standard_normal(p) / np.sqrt(1.0 - d**2)
-    state = d * z0  # each mode's filter state, carried from block to block
+    chunks = _chunks(params, n, as_generator(seed))
+    chunk, used = None, _CHUNK
     for start in range(0, n, rows):
-        m = min(rows, n - start)
-        # innovations are drawn row by row, shifted and transposed in one
-        # pass; each mode is then filtered in place as one contiguous row
-        w = np.add(rng.standard_normal((m, p)).T, wbar[:, None], out=np.empty((p, m)))
-        for k in range(p):
-            w[k], state[k:k + 1] = lfilter([1.0], [1.0, -d[k]], w[k], zi=state[k:k + 1])
-        # mapped back from row-major modes: a product over another layout can
-        # round differently
-        z = np.ascontiguousarray(w.T)
-        del w
-        block = z @ basis.T
-        del z
+        block = np.empty((min(rows, n - start), params.p))
+        filled = 0
+        while filled < len(block):
+            if used == _CHUNK:
+                chunk, used = next(chunks), 0
+            take = min(_CHUNK - used, len(block) - filled)
+            block[filled:filled + take] = chunk[used:used + take]
+            filled += take
+            used += take
         yield block
 
 
 def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
     """Simulate n steps started from the stationary distribution: the
-    chain of :func:`ar1_blocks` as one block.  Deterministic: identical
-    seeds give bit-identical chains."""
+    chain of :func:`ar1_blocks` as one block, written into one (n, p)
+    array.  Deterministic: identical seeds give bit-identical chains."""
     return Chain._adopt(next(ar1_blocks(params, n, seed, n)))

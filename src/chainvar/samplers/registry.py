@@ -11,7 +11,7 @@ import numpy as np
 
 from ..chain import Chain
 from ._rng import SeedLike
-from .ar1 import Ar1Params, _lfilter, ar1_blocks, ar1_simulate, ar1_truth
+from .ar1 import Ar1Params, ar1_blocks, ar1_simulate, ar1_truth
 from .logistic import (LogisticData, load_logit_data, log_posterior,
                        random_walk_metropolis_blocks, rwm_logistic)
 from .random_effects import (RandomEffectsHyper, gibbs_blocks, gibbs_random_effects,
@@ -26,10 +26,10 @@ class Simulator:
 
     ``simulator(n, seed)`` returns the chain and the sampler statistics
     worth reporting by name.  ``simulator.blocks(n, seed, rows)`` yields
-    the rows of the same chain (for AR(1), to rounding: see
-    :func:`ar1_blocks`) as consecutive arrays of ``rows`` rows of ``p``
-    columns (the last may be shorter), each the caller's until the next
-    one is asked for; it holds one block, not the chain.
+    the rows of the same chain, bit for bit, as consecutive arrays of
+    ``rows`` rows of ``p`` columns (the last may be shorter), each the
+    caller's until the next one is asked for; it holds one block, not the
+    chain.
     """
 
     run: Callable[[int, SeedLike], tuple[Chain, dict]]
@@ -104,7 +104,6 @@ def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
     params = _json_object(params, f"{model} parameters")
     if model == "ar1":
         ar1 = _ar1_params(params)
-        _lfilter()  # imported here, so that forked pool workers inherit it
         return (Simulator(partial(_ar1_run, ar1), partial(ar1_blocks, ar1), ar1.p),
                 ar1_truth(ar1).mu)
     if model == "logistic":

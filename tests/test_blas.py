@@ -129,17 +129,18 @@ def probe(*args):
     return real(*args)
 experiments._replication_record = probe
 before = counts()
-# no regions, so only building the ar1 model maps scipy's OpenBLAS
+# a region's quantiles load scipy.special, and with it scipy's OpenBLAS
 config = ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 4}, n=500,
-                          replications=2, methods=("mis",), regions=(), master_seed=1)
+                          replications=2, methods=("mis",), regions=("ellipsoid",),
+                          master_seed=1)
 run_replications(config, workers=1)
 print(json.dumps({"before": before, "inside": inside, "after": counts()}))
 """
 
 
 def test_a_library_the_model_maps_is_pinned_too():
-    # the harness builds the model before it pins BLAS, so scipy's OpenBLAS,
-    # which only the ar1 model loads, runs on one thread as numpy's does
+    # the harness loads the quantiles' module before it pins BLAS, so scipy's
+    # OpenBLAS, which only that module maps, runs on one thread as numpy's does
     src = str(Path(chainvar.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,8 +1,8 @@
 """Start-up imports: chainvar loads scipy and the process pool only where
 they run.  A bare import loads neither; an analysis loads ``scipy.special``
-only for a region's quantile, and an AR(1) simulator loads ``scipy.signal``
-and ``scipy.linalg``.  Each case runs in a fresh interpreter, since this
-test process has imported all of them."""
+only for a region's quantile, and no sampler loads any scipy module.  Each
+case runs in a fresh interpreter, since this test process has imported
+scipy."""
 
 import json
 import os
@@ -117,9 +117,24 @@ def test_estimate_and_ess_load_no_scipy(stored_chains, tmp_path, fmt):
     assert _loaded(_ESTIMATE_AND_ESS, *paths, fmt, str(tmp_path / "out.json")) == set()
 
 
-def test_building_an_ar1_simulator_loads_signal():
-    assert "scipy.signal" in _loaded("from chainvar.samplers import build\n"
-                                     "build('ar1', {'kind': 'scalar', 'a': 0.5})")
+_AR1_WITHOUT_REGIONS = """
+from chainvar import ExperimentConfig, run_replications
+run_replications(ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 4},
+                                  n=500, replications=2, regions=(), master_seed=1))
+"""
+
+_AR1 = {
+    "build": ("from chainvar.samplers import build\n"
+              "build('ar1', {'kind': 'scalar', 'a': 0.5})[0](50, 1)",),
+    "simulate": (_SIMULATE, "ar1"),
+    "experiment without regions": (_AR1_WITHOUT_REGIONS,),
+}
+
+
+@pytest.mark.parametrize("case", _AR1.values(), ids=_AR1)
+def test_ar1_loads_no_scipy(case):
+    # the modes are decoupled and filtered in numpy
+    assert _loaded(*case) == set()
 
 
 # An audit hook, inherited by forked workers, reports every module a worker

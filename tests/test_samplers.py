@@ -4,6 +4,7 @@ random walk sampler, and the random effects Gibbs sampler."""
 import hashlib
 import math
 import pickle
+import tracemalloc
 from functools import partial
 from importlib.resources import files
 
@@ -31,7 +32,7 @@ from chainvar import (
 )
 from chainvar.samplers import MODELS, ar1_blocks, build
 from chainvar.samplers import ar1 as ar1_module
-from chainvar.samplers.ar1 import _modes
+from chainvar.samplers.ar1 import _CHUNK, _modes
 from chainvar.samplers.logistic import generate_logit_data, log_prior
 from chainvar.samplers.random_effects import (
     GibbsSweep,
@@ -81,7 +82,8 @@ class TestAr1Params:
 
 
 def _strided_column_simulate(params, n, seed):
-    """Reference: ar1_simulate as a filter over strided columns into a second array."""
+    """Reference: ar1_simulate as scipy's compiled filter over strided columns
+    into a second array, mapped back in one product."""
     rng = np.random.default_rng(seed)
     d, basis, p = params._decays, params._basis, params.p
     wbar = np.linalg.solve(basis, params.theta)
@@ -106,9 +108,13 @@ def _explicit_params(p):
     return Ar1Params(a, v, rng.standard_normal(p))
 
 
-# p = 32 at n = 17 is a shape where mapping the modes back through their
-# transpose, not a row-major copy, changed the last bits
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 3000])
+# The chunked Toeplitz filter sums each mode in another order than the
+# recursion, so it agrees with it to a bound set from float64 rounding:
+# 1e-14 of the largest value, about 45 ulps of it.
+_FILTER_BOUND = 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 3000, _CHUNK + 1])
 @pytest.mark.parametrize("make", [partial(Ar1Params.hadamard_fixture, p) for p in (1, 2, 4, 12)]
                          + [partial(_explicit_params, p) for p in (3, 32)],
                          ids=["h1", "h2", "h4", "h12", "explicit3", "explicit32"])
@@ -117,7 +123,25 @@ def test_simulate_matches_the_strided_column_filter(make, n, blas_threads):
     for seed in (0, 1, 20260809):
         got = ar1_simulate(params, n, seed).values
         want = _strided_column_simulate(params, n, seed)
-        assert got.tobytes() == want.tobytes(), f"seed {seed}"
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=_FILTER_BOUND * np.abs(want).max(), err_msg=f"seed {seed}")
+
+
+# 2^-12 to the 64th underflows in the carry across sub-rows; 0.999 carries
+# most of a mode's past across every sub-row and chunk
+@pytest.mark.parametrize("a", [0.0, 2.0**-12, -(2.0**-12), 0.5, -0.9, 0.999])
+def test_scalar_chain_matches_the_recursion(a):
+    # one mode with unit basis: the chain is x_i = a x_{i-1} + w_i, as a
+    # Python loop over the same draws
+    n = 3 * _CHUNK + 5
+    rng = np.random.default_rng(93)
+    x = 1.0 / (1.0 - a) + rng.standard_normal() / math.sqrt(1.0 - a * a)
+    want = np.empty(n)
+    for i, w in enumerate((rng.standard_normal(n) + 1.0).tolist()):
+        x = a * x + w
+        want[i] = x
+    got = ar1_simulate(Ar1Params.scalar(a), n, 93).values[:, 0]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=_FILTER_BOUND * np.abs(want).max())
 
 
 class TestAr1Truth:
@@ -227,12 +251,12 @@ class TestAr1Simulate:
         with pytest.raises(ValueError):
             ar1_simulate(Ar1Params.scalar(0.5), 0, seed=1)
 
-    # the Hadamard fixture at p = 12, n = 1e4.  The last bits of the map back
-    # are those of one BLAS product over the whole chain, here OpenBLAS
-    # 0.3.31's; a BLAS build with other kernels can move them
+    # the Hadamard fixture at p = 12, n = 1e4.  The last bits are those of
+    # the chunked BLAS products, here OpenBLAS 0.3.31's; a BLAS build with
+    # other kernels can move them
     CHAIN_SHA256 = {
-        1: "6cf6a3cb48144835b7ee3b45b55746c50410a76c905b56d330c3b4503932bcf2",
-        2: "eea384b99cfdfa5dc7ee2fd2598b413da9e473966de5718a5c82d30ecd99045a",
+        1: "e12c12ec7bfd26266049ca671e2afc88341edaf3c2e624cc9d9a87453460d65e",
+        2: "16f23a0624c487801c81a5e32ffe63bf4aa65abff2227e2edc97bb87049d2fc8",
     }
 
     @pytest.mark.parametrize("seed", sorted(CHAIN_SHA256))
@@ -725,11 +749,9 @@ def test_explicit_data_builds_the_default_simulator(model, default, explicit, tm
     assert np.array_equal(a.values, b.values)
 
 
-# Blocks concatenate to the chain bit for bit where the sampler's arithmetic
-# does not depend on the block: always for Gibbs and RWM, and for AR(1)
-# where the map back from the modes is exact, as with a diagonal A (whose
-# basis is a permutation).  Otherwise the map back is one BLAS product per
-# block, whose last bits depend on the row count.
+# Blocks concatenate to the chain bit for bit.  Here AR(1) has a diagonal
+# A, whose basis is a permutation; test_ar1_blocks_agree_to_rounding covers
+# a dense basis.
 _BLOCK_PARAMS = {
     "ar1": {"A": np.diag([0.5, -0.3, 0.8]).tolist(), "V": np.eye(3).tolist(),
             "theta": [1.0, 2.0, -1.0]},
@@ -754,14 +776,35 @@ def test_blocks_concatenate_to_the_chain(model, rows):
     assert _same_state(whole.bit_generator.state, blocked.bit_generator.state)
 
 
-@pytest.mark.parametrize("rows", [1, 7, 997])
-def test_ar1_blocks_agree_to_rounding(rows):
+@pytest.mark.parametrize("rows", [1, 7, 997, _CHUNK - 1, _CHUNK + 1, "n"])
+def test_ar1_blocks_agree_to_rounding(rows, on_blas_threads):
+    # the products run on fixed chunks, so blocks that split a chunk or
+    # straddle two are the chain bit for bit, at either thread count
     params = Ar1Params.hadamard_fixture(12)
-    whole, blocked = (np.random.Generator(np.random.PCG64(92)) for _ in range(2))
-    chain = ar1_simulate(params, 3_000, whole).values
-    got = np.concatenate(list(ar1_blocks(params, 3_000, blocked, rows)))
-    np.testing.assert_allclose(got, chain, rtol=0.0, atol=1e-14 * np.abs(chain).max())
-    assert _same_state(whole.bit_generator.state, blocked.bit_generator.state)
+    n = 3 * _CHUNK + 5
+    rows = n if rows == "n" else rows
+    for threads in (1, 2):
+        with on_blas_threads(threads):
+            whole, blocked = (np.random.Generator(np.random.PCG64(92)) for _ in range(2))
+            chain = ar1_simulate(params, n, whole).values
+            got = np.concatenate(list(ar1_blocks(params, n, blocked, rows)))
+        assert got.tobytes() == chain.tobytes(), f"{threads} BLAS threads"
+        assert _same_state(whole.bit_generator.state, blocked.bit_generator.state)
+
+
+def test_ar1_memory_is_the_chain_and_a_few_chunks():
+    # tracemalloc peaks at n and 10 n: the (n, p) chain plus a bound that
+    # does not grow with n, here eight chunks of p columns
+    params = Ar1Params.hadamard_fixture(12)
+    bound = 8 * _CHUNK * params.p * 8
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            ar1_simulate(params, n, 94)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n * params.p <= bound, n
 
 
 @pytest.mark.parametrize("model", MODELS)
