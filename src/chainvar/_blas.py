@@ -40,11 +40,11 @@ def _scan(module_count: int) -> tuple:
     """(set, get) thread-count functions, one pair per loaded library.
 
     A library is mapped when a module that links it is imported: numpy
-    maps its own at import, and scipy's is mapped with the first scipy
-    module that links it, in chainvar ``scipy.special`` for a region's
-    quantiles (the samplers load no scipy module).  So the scan
-    of ``/proc/self/maps`` (about 1 ms) is reused while the number of
-    imported modules, its only argument, stays the same.
+    maps its own at import.  No chainvar module imports scipy, but a
+    caller may have, and scipy maps its own OpenBLAS with the first
+    module that links it.  So the scan of ``/proc/self/maps`` (about
+    1 ms) is reused while the number of imported modules, its only
+    argument, stays the same.
     """
     controls = []
     for path in _loaded_paths():

@@ -1,4 +1,8 @@
-"""Effective sample size and confidence regions built from long-run covariance estimates."""
+"""Effective sample size and confidence regions built from long-run covariance estimates.
+
+The regions' chi-square and normal quantiles are computed with the
+standard library, so a region needs no package beyond NumPy.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
 
@@ -28,34 +33,98 @@ def _check_prob(prob: float) -> float:
     return prob
 
 
-def _special():
-    """``scipy.special``, imported on first use.
+_STANDARD_NORMAL = NormalDist()
 
-    It loads ``array_api_compat``, ``numpy.f2py`` and ``numpy.testing``,
-    about 0.2 s at start-up, and only the region quantiles need it.
-    ``run_replications`` calls this before a fork pool starts, so the
-    workers inherit the module instead of each importing it.
+
+def normal_quantile(prob: float) -> float:
+    """Inverse standard normal CDF, by Wichura's algorithm AS241
+    (*Appl. Statist.* 37, 1988), as :meth:`statistics.NormalDist.inv_cdf`
+    evaluates it."""
+    return _STANDARD_NORMAL.inv_cdf(_check_prob(prob))
+
+
+def _gamma_log_density(a: float, y: float) -> float:
+    """log of y^(a-1) e^-y / Gamma(a), the density of a gamma(a) variable at y > 0.
+
+    From a = 17 on it is taken as a Poisson log-probability in the form of
+    Loader (2000): Stirling's error term and ``k log(k/y) + y - k`` for
+    k = a - 1, which has no cancellation of terms the size of a log y.
     """
-    from scipy import special
+    k = a - 1.0
+    if k < 16.0:
+        return k * math.log(y) - y - math.lgamma(a)
+    k2 = k * k
+    stirling_error = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188 * k2)) / k2) / k2) / k2) / k
+    return (-(stirling_error + k * math.log1p((k - y) / y) + y - k)
+            - 0.5 * math.log(2.0 * math.pi * k))
 
-    return special
+
+def _upper_tail_ratio(a: float, y: float, log_density: float) -> float:
+    """Q(a, y), the upper gamma tail, over the density at y, for an integer
+    or half-integer a: a finite sum whose terms are 1, (a-1)/y,
+    (a-1)(a-2)/y^2, ..., plus erfc(sqrt(y)) over the density for a half-integer a."""
+    ratio, term, j = 0.0, 1.0, a - 1.0
+    while j >= 0.0:
+        ratio += term
+        term *= j / y
+        j -= 1.0
+    erfc = math.erfc(math.sqrt(y)) if a % 1.0 else 0.0
+    return ratio + math.exp(math.log(erfc) - log_density) if erfc else ratio
+
+
+def _lower_tail_ratio(a: float, y: float) -> float:
+    """P(a, y), the lower gamma tail, over the density at y: its series
+    y/a * sum_k y^k / ((a+1)...(a+k))."""
+    term = ratio = y / a
+    k = 1.0
+    while term > 1e-17 * ratio:
+        term *= y / (a + k)
+        ratio += term
+        k += 1.0
+    return ratio
 
 
 def chisq_quantile(prob: float, dof: int) -> float:
-    """Inverse chi-square CDF with ``dof`` degrees of freedom.
+    """Inverse chi-square CDF with an integer ``dof`` degrees of freedom.
 
-    The expression is the one ``scipy.stats.chi2.ppf`` evaluates, so the
-    bits are the same, without the start-up cost of ``scipy.stats``.
+    Halley's method on the log of a gamma tail of y = x/2, shape a = dof/2,
+    started from the Wilson-Hilferty approximation.  For prob >= 1/2 it
+    solves on the upper tail Q, a finite sum for integer dof; below, on
+    the series of the lower tail P.  So the tail it solves on is the small
+    one, which keeps its relative accuracy, and its log does not underflow.
+    The tests hold it within 1e-13 relative of a reference inverse for
+    dof up to 1000 (see the README).
     """
     prob = _check_prob(prob)
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    return float(2 * _special().gammaincinv(dof / 2, prob))
-
-
-def normal_quantile(prob: float) -> float:
-    """Inverse standard normal CDF, as ``scipy.stats.norm.ppf`` evaluates it."""
-    return float(_special().ndtri(_check_prob(prob)))
+    if dof != int(dof):
+        raise ValueError(f"degrees of freedom must be an integer, got {dof}")
+    a = int(dof) / 2.0
+    upper = prob >= 0.5
+    # F = log(tail) - log(target) has F' = sign / ratio
+    sign = -1.0 if upper else 1.0
+    log_target = math.log1p(-prob) if upper else math.log(prob)
+    h = 2.0 / (9.0 * dof)
+    cube_root = 1.0 - h + normal_quantile(prob) * math.sqrt(h)
+    if cube_root > 0.3:
+        y = a * cube_root ** 3
+    else:  # far in the lower tail, where P(a, y) ~ y^a / Gamma(a + 1)
+        y = math.exp((log_target + math.lgamma(a + 1.0)) / a)
+        if y == 0.0:
+            return 0.0
+    for _ in range(100):
+        log_density = _gamma_log_density(a, y)
+        ratio = _upper_tail_ratio(a, y, log_density) if upper else _lower_tail_ratio(a, y)
+        newton = sign * ratio * (log_density + math.log(ratio) - log_target)
+        # Halley's correction, from F'' / F' = (a - 1)/y - 1 - F'
+        halley = 1.0 - 0.5 * newton * ((a - 1.0) / y - 1.0 - sign / ratio)
+        step = newton / halley if halley > 0.5 else newton
+        y = max(y - step, 0.5 * y)
+        # convergence is cubic: after a step this small, only rounding is left
+        if abs(step) <= 1e-8 * y:
+            break
+    return 2.0 * y
 
 
 def sample_cov(chain: Chain) -> np.ndarray:

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._blas import pin_single_thread, single_threaded_blas
-from .diagnostics import Analysis, Region, _special
+from .diagnostics import Analysis, Region
 from .chain import _check_finite
 from .estimators import METHODS, NoPositiveDefinitePartialSum
 from .samplers import MODELS, SeedLike, build, replication_stream, truth_stream
@@ -213,7 +213,12 @@ def _replication_record(config: ExperimentConfig, simulate,
     component fails the uis rows.
     """
     chain, _ = simulate(config.n, replication_stream(config.master_seed, index))
-    analysis = Analysis(chain)
+    # the chain is held once: the pairs center it in place, after the uis
+    # column scans, which need its raw values (component_ess runs them
+    # first and still names a moment overflow of the whole chain)
+    analysis = Analysis._adopt(chain)
+    if "uis" in config.methods:
+        analysis.component_ess()
     analysis.pairs  # a moment overflow names its column of the whole chain
     out: dict = {"replication": index, "methods": {}}
     regions: dict[str, Region] = {}
@@ -360,12 +365,8 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    # the model and the quantiles' module are loaded before the pool forks,
-    # so that the workers inherit them, and before the BLAS is pinned, so
-    # that the OpenBLAS the quantiles' module maps (scipy's) is pinned too
+    # the model is loaded before the pool forks, so the workers inherit it
     simulate, analytic = build(config.model, config.model_params)
-    if config.regions:
-        _special()
     with (single_threaded_blas(),
           _task_runner(workers if config.replications > 1 else 1) as submit):
         truth_task = submit(_truth_task, config, simulate, analytic)

@@ -49,6 +49,9 @@ class TestQuantiles:
         # p = 2: inverse CDF is -2 ln(1 - prob)
         assert abs(chisq_quantile(0.9, 2) - (-2.0 * math.log(0.1))) < 1e-10
         assert abs(chisq_quantile(0.9, 2) - 4.6051702) < 1e-6
+        for prob in np.concatenate([_PROB_GRID, np.linspace(1e-6, 1.0 - 1e-6, 2001)]):
+            exact = -2.0 * math.log1p(-prob)
+            assert abs(chisq_quantile(prob, 2) - exact) <= 2e-15 * exact, prob
 
     def test_normal_against_bisection_oracle(self):
         for prob in (0.5, 0.9, 0.95, 0.975, 0.999):
@@ -59,6 +62,10 @@ class TestQuantiles:
         z = normal_quantile_oracle(0.95)
         assert abs(chisq_quantile(0.9, 1) - z * z) < 1e-8
         assert abs(chisq_quantile(0.9, 1) - 2.7055435) < 1e-6
+        # (1 - prob) / 2 is exact for prob >= 1/2; below, it would round
+        for prob in np.linspace(0.5, 1.0 - 1e-6, 1001):
+            z = normal_quantile((1.0 - prob) / 2.0)
+            assert abs(chisq_quantile(prob, 1) - z * z) <= 4e-15 * z * z, prob
 
     def test_input_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
@@ -71,18 +78,52 @@ class TestQuantiles:
             with pytest.raises(ValueError, match=rf"^degrees of freedom must be >= 1, got {dof}$"):
                 chisq_quantile(0.5, dof)
 
-    def test_bits_equal_those_of_scipy_stats(self):
+    @pytest.mark.parametrize("dof", [1, 2, 3, 12, 65, 1000])
+    def test_chisq_increases_with_prob(self, dof):
+        # both sides of 1/2, where the solve moves from the lower to the upper tail
+        probs = np.unique(np.concatenate([_PROB_GRID, np.linspace(0.0005, 0.9995, 1000),
+                                        [0.5 - 1e-9, 0.5 + 1e-9]]))
+        values = [chisq_quantile(prob, dof) for prob in probs]
+        assert all(b > a > 0.0 for a, b in zip(values, values[1:]))
+
+    def test_non_integer_dof_rejected(self):
+        with pytest.raises(ValueError, match=r"^degrees of freedom must be an integer, got 2.5$"):
+            chisq_quantile(0.5, 2.5)
+
+    def test_within_stated_bounds_of_scipy_stats(self):
+        # scipy is a test-only oracle: the quantiles run on the standard
+        # library, so they match it to a stated bound, not bit for bit
         from scipy import stats
 
-        probs = np.concatenate([np.linspace(0.01, 0.999, 300),
-                                [0.5, 0.8, 0.9, 0.95, 0.975, 0.99]])
-        dofs = np.arange(1, 200)
-        ours = np.array([[chisq_quantile(q, int(dof)) for q in probs] for dof in dofs])
-        ref = stats.chi2.ppf(probs[None, :], dofs[:, None])
-        assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+        dofs = np.arange(1, 1001)
+        ours = np.array([[chisq_quantile(q, int(dof)) for q in _PROB_GRID] for dof in dofs])
+        ref = stats.chi2.ppf(_PROB_GRID[None, :], dofs[:, None])
+        np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=0.0)
+        # the cutoffs of the benchmark's ellipsoids, p = 12 and 65
+        for dof in (12, 65):
+            assert _ulps(chisq_quantile(0.9, dof), stats.chi2.ppf(0.9, dof)) <= 4
         probs = np.linspace(1e-6, 1.0 - 1e-6, 20_002)
         ours = np.array([normal_quantile(q) for q in probs])
-        assert np.array_equal(ours.view(np.uint64), stats.norm.ppf(probs).view(np.uint64))
+        assert _ulps(ours, stats.norm.ppf(probs)).max() <= 8
+
+    @pytest.mark.parametrize("dof", [1, 2, 65, 1000])
+    def test_far_tails(self, dof):
+        # the tails' logs do not underflow where the densities do (dof 1000
+        # at 1e-300), and at dof 1 the quantile of 1e-300 underflows to 0
+        from scipy import stats
+
+        for prob in (1e-300, 1e-100, 1e-15, 1.0 - 2.0**-53):
+            ref = stats.chi2.ppf(prob, dof)
+            assert abs(chisq_quantile(prob, dof) - ref) <= 1e-13 * ref, prob
+
+
+_PROB_GRID = np.array([1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-3, 1.0 - 1e-6])
+
+
+def _ulps(a, b):
+    """Units in the last place between doubles of the same sign."""
+    a, b = (np.asarray(x, np.float64).view(np.int64) for x in (a, b))
+    return np.abs(a - b)
 
 
 class TestSampleCov:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from chainvar import (
+    Chain,
     ExperimentConfig,
+    MomentOverflowError,
     NonFiniteValueError,
     diagnostics,
     emit_tables,
@@ -380,6 +382,34 @@ def test_one_spectrum_per_matrix_per_replication(monkeypatch):
     mk_tested, mis_tested = record["mk"]["t_n"] + 2, record["mis"]["t_n"] + 2
     assert mk_tested + mis_tested <= 10  # no scan reached the end of the chain
     assert len(decomposed) == 1 + mk_tested + mis_tested + 1
+
+
+class TestOneChainCopy:
+    def test_a_replication_holds_its_chain_once(self):
+        # the pairs center the chain in place, after the column scans; a
+        # centered copy would put the peak at two chains
+        config = ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 12},
+                                  n=100_000, replications=1, master_seed=1)
+        simulate, _ = build(config.model, config.model_params)
+        experiments._replication_record(config, simulate, 0)  # imports and caches
+        tracemalloc.start()
+        try:
+            experiments._replication_record(config, simulate, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * config.n * simulate.p
+
+    def test_a_whole_chain_overflow_is_named_before_a_column_scan(self, monkeypatch):
+        # the scan of c1 meets its overflowing variance first, but the run
+        # names the mean of c2, as the whole chain's moments do
+        values = np.random.default_rng(3).standard_normal((500, 3))
+        values[:, 0] *= 2.0**520
+        values[:, 1] = 1.5e308 + values[:, 1] * 1e306
+        simulate = lambda n, seed: (Chain(values), {})
+        monkeypatch.setattr(experiments, "build", lambda model, params: (simulate, np.zeros(3)))
+        with pytest.raises(MomentOverflowError, match="^the mean of column c2 overflows"):
+            run_replications(scalar_config(replications=2))
 
 
 class TestEmitTables:

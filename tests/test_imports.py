@@ -1,8 +1,7 @@
-"""Start-up imports: chainvar loads scipy and the process pool only where
-they run.  A bare import loads neither; an analysis loads ``scipy.special``
-only for a region's quantile, and no sampler loads any scipy module.  Each
-case runs in a fresh interpreter, since this test process has imported
-scipy."""
+"""Start-up imports: chainvar loads no scipy module, and the process pool
+only where it runs.  A region's quantiles come from the standard library,
+and the samplers from numpy alone.  Each case runs in a fresh interpreter,
+since this test process has imported scipy."""
 
 import json
 import os
@@ -90,10 +89,8 @@ def test_no_stats_or_signal_without_an_ar1_simulator(case):
 @pytest.mark.parametrize("fmt", ["bin", "csv"])
 def test_no_stats_or_signal_for_analyst_commands_on_a_stored_chain(stored_chains, tmp_path, fmt):
     path = stored_chains[fmt]
-    loaded = _loaded(_CLI_ON_STORED, str(path), fmt, str(tmp_path / "out.json"))
-    # estimate and ess load no scipy (below), so the regions load special
-    assert "scipy.special" in loaded
-    assert loaded & {"scipy.stats", "scipy.signal", "scipy.linalg"} == set()
+    # nor any other scipy module: the regions' quantiles included
+    assert _loaded(_CLI_ON_STORED, str(path), fmt, str(tmp_path / "out.json")) == set()
 
 
 _ESTIMATE_AND_ESS = """
@@ -117,24 +114,34 @@ def test_estimate_and_ess_load_no_scipy(stored_chains, tmp_path, fmt):
     assert _loaded(_ESTIMATE_AND_ESS, *paths, fmt, str(tmp_path / "out.json")) == set()
 
 
-_AR1_WITHOUT_REGIONS = """
+_AR1_EXPERIMENT = """
+import json, sys
 from chainvar import ExperimentConfig, run_replications
+regions, workers = json.loads(sys.argv[1]), int(sys.argv[2])
 run_replications(ExperimentConfig(model="ar1", model_params={"kind": "hadamard", "p": 4},
-                                  n=500, replications=2, regions=(), master_seed=1))
+                                  n=500, replications=2, regions=regions, master_seed=1),
+                 workers=workers)
 """
+
+_REGIONS = json.dumps(["ellipsoid", "cube", "bonferroni"])
+_POOL = {"multiprocessing", "concurrent.futures.process"}
 
 _AR1 = {
     "build": ("from chainvar.samplers import build\n"
               "build('ar1', {'kind': 'scalar', 'a': 0.5})[0](50, 1)",),
     "simulate": (_SIMULATE, "ar1"),
-    "experiment without regions": (_AR1_WITHOUT_REGIONS,),
+    "experiment without regions": (_AR1_EXPERIMENT, "[]", "1"),
+    "experiment with regions": (_AR1_EXPERIMENT, _REGIONS, "1"),
+    "experiment with regions, 2 workers": (_AR1_EXPERIMENT, _REGIONS, "2"),
 }
 
 
 @pytest.mark.parametrize("case", _AR1.values(), ids=_AR1)
 def test_ar1_loads_no_scipy(case):
-    # the modes are decoupled and filtered in numpy
-    assert _loaded(*case) == set()
+    # the modes are decoupled and filtered in numpy, and the regions'
+    # quantiles come from the standard library; two workers start a pool
+    pooled = case[1:] == (_REGIONS, "2")
+    assert _loaded(*case) == (_POOL if pooled else set())
 
 
 # An audit hook, inherited by forked workers, reports every module a worker
