@@ -17,10 +17,12 @@ import sys
 import threading
 from pathlib import Path
 
-# (setter, getter) names: numpy's 64-bit-integer build, scipy's build, plain OpenBLAS
+# (setter, getter) names: numpy's 64-bit-integer build, scipy's build, the
+# 64-bit-integer build of numpy 1.x wheels, plain OpenBLAS
 _SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 

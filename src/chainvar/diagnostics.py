@@ -16,7 +16,7 @@ import numpy as np
 
 from .autocov import LagPairSequence, MomentOverflowError, autocov
 from .chain import Chain
-from .estimators import MULTIVARIATE, MvEstimate, UvEstimate, uis, uis_components
+from .estimators import MULTIVARIATE, MvEstimate, UvEstimate, uis_components
 from .symmat import (
     NotPositiveDefiniteError,
     eigenvalues_sym,
@@ -286,7 +286,7 @@ class Analysis:
 
     def __init__(self, chain: Chain) -> None:
         self.chain = chain
-        self._estimates: dict[str, MvEstimate | UvEstimate] = {}
+        self._estimates: dict[str, MvEstimate] = {}
         # whether the analysis owns its chain, and whether it may have
         # centered it in place
         self._owns_chain = self._centered = False
@@ -315,7 +315,16 @@ class Analysis:
 
     @cached_property
     def components(self) -> list[UvEstimate]:
-        return uis_components(self._raw_chain())
+        """The uis estimate of each column, from the raw columns.
+
+        A moment overflow of the whole chain is named before one of a
+        column scan, whichever column the scan meets first.
+        """
+        try:
+            return uis_components(self._raw_chain())
+        except MomentOverflowError:
+            self.pairs
+            raise
 
     def _raw_chain(self) -> Chain:
         """The chain, for work on its raw values, which must not be centered yet."""
@@ -332,28 +341,18 @@ class Analysis:
 
     def estimate(self, method: str) -> MvEstimate | UvEstimate:
         """The estimate by ``method``; ``uis`` needs a univariate chain."""
+        if method == "uis":
+            if self.chain.p != 1:
+                raise ValueError(f"uis requires a univariate chain, got p={self.chain.p}")
+            return self.components[0]
         if method not in self._estimates:
-            self._estimates[method] = (uis(self._raw_chain()) if method == "uis"
-                                       else MULTIVARIATE[method](self.pairs))
+            self._estimates[method] = MULTIVARIATE[method](self.pairs)
         return self._estimates[method]
-
-    def _gamma0(self) -> np.ndarray:
-        # without a shared sequence, an analysis that does not own its chain
-        # takes gamma0 alone (the same bits), freeing its n x p centered copy
-        if self._owns_chain or "pairs" in self.__dict__:
-            return self.pairs.gamma0
-        return sample_cov(self.chain)
 
     def component_ess(self) -> list[float]:
         """See :func:`univariate_ess_components`."""
-        # the column scans run before gamma0, which may center the chain;
-        # a moment overflow of the whole chain is still the one named first
-        try:
-            components = self.components
-        except MomentOverflowError:
-            self._gamma0()
-            raise
-        g0 = np.diagonal(self._gamma0())
+        components = self.components
+        g0 = np.diagonal(self.pairs.gamma0)
         return [float(self.chain.n * (g0[j] / est.sigma2)) if est.usable else float("nan")
                 for j, est in enumerate(components)]
 
@@ -364,8 +363,6 @@ class Analysis:
             est = self.estimate(method)
             return _ess(chain.n, chain.p, self.logdet_lambda,
                         logdet_from_eigenvalues(est.eigenvalues))
-        if chain.n < 2:
-            raise ValueError("need n >= 2")
         values = self.component_ess()
         usable = [v for v in values if not math.isnan(v)]
         if not usable:
@@ -397,5 +394,6 @@ class Analysis:
             return _ellipsoid_region(chain.mean, est.sigma, est.eigenvalues, chain.n, alpha)
         if method != "uis":
             raise ValueError("cube regions are built from the uis method")
-        return cube_region(chain.mean, self.uis_sd(), chain.n, alpha,
-                           bonferroni=kind == "bonferroni")
+        # the scans name an overflow before the mean is read
+        sd = self.uis_sd()
+        return cube_region(chain.mean, sd, chain.n, alpha, bonferroni=kind == "bonferroni")

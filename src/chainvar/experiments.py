@@ -19,11 +19,14 @@ from .diagnostics import Analysis, Region
 from .chain import _check_finite
 from .estimators import METHODS, NoPositiveDefinitePartialSum
 from .samplers import MODELS, SeedLike, build, replication_stream, truth_stream
-from .samplers.registry import Simulator
+from .samplers.registry import Simulator, _check_keys, _typed
 from .symmat import NotPositiveDefiniteError
 
 REGION_KINDS = ("ellipsoid", "cube", "bonferroni")
-TRUTH_KINDS = ("analytic", "long-run", "external")
+# the keys a truth of each kind may have
+_TRUTH_KEYS = {"analytic": ("kind",), "long-run": ("kind", "n_truth"),
+               "external": ("kind", "vector")}
+TRUTH_KINDS = tuple(_TRUTH_KEYS)
 
 # bytes of one block of a long-run truth
 _TRUTH_BLOCK_BYTES = 1 << 22
@@ -54,14 +57,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        for name, kind, what in (("n", Integral, "an integer"),
-                                 ("replications", Integral, "an integer"),
-                                 ("level", Real, "a number"),
-                                 ("master_seed", Integral, "an integer")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"config field {name!r} must be {what}, "
-                                 f"got {type(value).__name__}")
+        for name, kind in (("n", Integral), ("replications", Integral),
+                           ("level", Real), ("master_seed", Integral)):
+            _typed(getattr(self, name), kind, f"config field {name!r}")
         if self.replications < 1:
             raise ValueError(f"need replications >= 1, got {self.replications}")
         if self.n < 4:
@@ -85,8 +83,13 @@ class ExperimentConfig:
         kind = self.truth.get("kind")
         if kind not in TRUTH_KINDS:
             raise ValueError(f"unknown truth kind {kind!r}; expected from {TRUTH_KINDS}")
+        _check_keys(self.truth, _TRUTH_KEYS[kind], f"{kind} truth")
         if kind == "analytic" and self.model != "ar1":
             raise ValueError("analytic truth is only available for the ar1 model")
+        if kind == "external" and "vector" not in self.truth:
+            raise ValueError("an external truth needs the key 'vector'")
+        if "n_truth" in self.truth:
+            _typed(self.truth["n_truth"], Integral, "truth field 'n_truth'")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -100,10 +103,7 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ValueError(f"an experiment config must be a JSON object, "
                              f"got {type(d).__name__}")
-        known = [f.name for f in fields(cls)]
-        unknown = [key for key in d if key not in known]
-        if unknown:
-            raise ValueError(f"unknown config key {unknown[0]!r}; expected from {known}")
+        _check_keys(d, [f.name for f in fields(cls)], "config")
         if "model" not in d:
             raise ValueError("an experiment config needs the key 'model'")
         return cls(**d)
@@ -213,15 +213,13 @@ def _replication_record(config: ExperimentConfig, simulate,
     component fails the uis rows.
     """
     chain, _ = simulate(config.n, replication_stream(config.master_seed, index))
-    # the chain is held once: the pairs center it in place, after the uis
-    # column scans, which need its raw values (component_ess runs them
-    # first and still names a moment overflow of the whole chain)
+    # the chain is held once: the analysis centers it in place
     analysis = Analysis._adopt(chain)
-    if "uis" in config.methods:
-        analysis.component_ess()
-    analysis.pairs  # a moment overflow names its column of the whole chain
-    out: dict = {"replication": index, "methods": {}}
     regions: dict[str, Region] = {}
+    # the uis rows read the raw columns, so they are built first
+    uis_rows = (_univariate_entries(analysis, config, regions)
+                if "uis" in config.methods else {})
+    out: dict = {"replication": index, "methods": {}}
     for method in config.methods:
         if method == "uis":
             continue
@@ -237,8 +235,7 @@ def _replication_record(config: ExperimentConfig, simulate,
         except (NoPositiveDefinitePartialSum, NotPositiveDefiniteError) as exc:
             entry = {"failed": f"{type(exc).__name__}: {exc}"}
         out["methods"][method] = entry
-    if "uis" in config.methods:
-        out["methods"].update(_univariate_entries(analysis, config, regions))
+    out["methods"].update(uis_rows)
     return out, regions
 
 
@@ -257,11 +254,13 @@ def _uis_rows(config: ExperimentConfig) -> tuple[str, ...]:
 def _univariate_entries(analysis: Analysis, config: ExperimentConfig,
                         regions: dict[str, Region]) -> dict:
     """The uis rows of a record; each cube built goes into ``regions``."""
+    # a moment overflow raises here and stops the run; only an unusable
+    # component fails the rows
+    sigma2 = [est.sigma2 for est in analysis.components]
     try:
         analysis.uis_sd()
     except ValueError as exc:  # an unusable component
         return {row: {"failed": str(exc)} for row in _uis_rows(config)}
-    sigma2 = [est.sigma2 for est in analysis.components]
     base = {"ess": analysis.ess("uis"), "logdet": float(np.log(sigma2).sum())}
     out = {}
     for row in _uis_rows(config):

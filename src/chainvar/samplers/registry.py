@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,6 +47,29 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _check_keys(mapping: dict, known, what: str) -> None:
+    """Raise a ValueError naming the first key of ``mapping`` not in ``known``."""
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}; expected from {list(known)}")
+
+
+_KIND_NAMES = {Integral: "an integer", Real: "a number"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value``, which must be an instance of ``kind``, :class:`Integral` or
+    :class:`Real`; ``true`` and ``false`` count as neither."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _param(params: dict, model: str, key: str, kind: type, default):
+    """``params[key]``, or ``default`` if it is absent, of the type ``kind``."""
+    return _typed(params.get(key, default), kind, f"{model} parameter {key!r}")
+
+
 def _require(params: dict, key: str, kind: str):
     if key not in params:
         raise ValueError(f"ar1 parameters of kind {kind!r} need the key {key!r}")
@@ -55,12 +79,16 @@ def _require(params: dict, key: str, kind: str):
 def _ar1_params(params: dict) -> Ar1Params:
     kind = params.get("kind", "explicit")
     if kind == "hadamard":
-        return Ar1Params.hadamard_fixture(int(_require(params, "p", kind)))
+        _check_keys(params, ("kind", "p"), "ar1 hadamard parameter")
+        p = _typed(_require(params, "p", kind), Integral, "ar1 parameter 'p'")
+        return Ar1Params.hadamard_fixture(int(p))
     if kind == "scalar":
-        return Ar1Params.scalar(float(_require(params, "a", kind)),
-                                float(params.get("v", 1.0)),
-                                float(params.get("theta", 1.0)))
+        _check_keys(params, ("kind", "a", "v", "theta"), "ar1 scalar parameter")
+        _require(params, "a", kind)  # v and theta default to 1
+        return Ar1Params.scalar(*(float(_param(params, "ar1", key, Real, 1.0))
+                                  for key in ("a", "v", "theta")))
     if kind == "explicit":
+        _check_keys(params, ("kind", "A", "V", "theta"), "ar1 explicit parameter")
         return Ar1Params(*(np.asarray(_require(params, key, kind), dtype=np.float64)
                            for key in ("A", "V", "theta")))
     raise ValueError(f"unknown ar1 parameter kind {kind!r}")
@@ -107,21 +135,21 @@ def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
         return (Simulator(partial(_ar1_run, ar1), partial(ar1_blocks, ar1), ar1.p),
                 ar1_truth(ar1).mu)
     if model == "logistic":
+        _check_keys(params, ("step_sd", "data_path"), "logistic parameter")
+        step_sd = float(_param(params, model, "step_sd", Real, 0.3))
         data = load_logit_data(params.get("data_path"))
-        step_sd = float(params.get("step_sd", 0.3))
         return (Simulator(partial(_rwm_run, data, step_sd), partial(_rwm_blocks, data, step_sd),
                           data.n_coef), None)
     if model == "ranef":
+        _check_keys(params, ("K", "data_seed", "hyper", "y"), "ranef parameter")
         hyper = _json_object(params.get("hyper", {}), "ranef 'hyper'")
-        known = [f.name for f in fields(RandomEffectsHyper)]
-        unknown = [key for key in hyper if key not in known]
-        if unknown:
-            raise ValueError(f"unknown ranef hyper key {unknown[0]!r}; expected from {known}")
+        _check_keys(hyper, [f.name for f in fields(RandomEffectsHyper)], "ranef hyper")
         hyper = RandomEffectsHyper(**hyper)
         if "y" in params:
             y = np.asarray(params["y"], dtype=np.float64)
         else:
-            y = simulate_dataset(int(params.get("K", 2)), int(params.get("data_seed", 0)))
+            y = simulate_dataset(int(_param(params, model, "K", Integral, 2)),
+                                 int(_param(params, model, "data_seed", Integral, 0)))
         return (Simulator(partial(_gibbs_run, y, hyper), partial(_gibbs_blocks, y, hyper),
                           3 * y.size + 2), None)
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")

@@ -94,6 +94,29 @@ class TestSingleThreadedBlas:
             loaded.insert(0, library("late"))  # its path may sort first
         assert counts == {"numpy": 2, "scipy": 3, "late": 4}
 
+    def test_numpy_1x_ilp64_symbols_are_found(self, monkeypatch):
+        # numpy 1.x wheels ship an ILP64 OpenBLAS whose symbols end in 64_
+        class Function:
+            def __init__(self, call):
+                self.call = call
+
+            def __call__(self, *args):
+                return self.call(*args)
+
+        count = [4]
+        lib = types.SimpleNamespace(
+            openblas_set_num_threads64_=Function(lambda n: count.__setitem__(0, n)),
+            openblas_get_num_threads64_=Function(lambda: count[0]))
+        monkeypatch.setattr(_blas, "_loaded_paths", lambda: ["/lib/libopenblas64_p-r0.so"])
+        monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path: lib)
+        controls = _blas._scan.__wrapped__(0)
+        assert controls == ((lib.openblas_set_num_threads64_,
+                             lib.openblas_get_num_threads64_),)
+        monkeypatch.setattr(_blas, "_controls", lambda: controls)
+        with _blas.single_threaded_blas():
+            assert count == [1]
+        assert count == [4]
+
     def test_rescans_only_after_an_import(self, monkeypatch):
         scans = []
         monkeypatch.setattr(_blas, "_loaded_paths", lambda: scans.append(1) or [])

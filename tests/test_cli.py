@@ -297,9 +297,41 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
       "--params", "{json}"), {}, "need the key 'A'"),
     (("simulate", "--model", "ar1", "--n", "10", "--seed", "1", "--out", "{out}",
       "--params", "{json}"), [], "ar1 parameters must be a JSON object"),
+    (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"k": 21}, "unknown ranef parameter key 'k'"),
+    (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"K": True}, "ranef parameter 'K' must be an integer, got bool"),
+    (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"K": 2.9}, "ranef parameter 'K' must be an integer, got float"),
+    (("simulate", "--model", "ar1", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"kind": "hadamard", "p": True},
+     "ar1 parameter 'p' must be an integer, got bool"),
+    (("simulate", "--model", "ar1", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"kind": "hadamard", "p": 4, "P": 4},
+     "unknown ar1 hadamard parameter key 'P'"),
+    (("simulate", "--model", "ar1", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"kind": "scalar", "a": True},
+     "ar1 parameter 'a' must be a number, got bool"),
+    (("simulate", "--model", "logistic", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"step_sd": False},
+     "logistic parameter 'step_sd' must be a number, got bool"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ranef", "model_params": {"k": 21}, "truth": {"kind": "external", "vector": []}},
+     "unknown ranef parameter key 'k'"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "truth": {"kind": "external"}}, "external truth needs the key 'vector'"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ranef", "truth": {"kind": "long-run", "n_truht": 10}},
+     "unknown long-run truth key 'n_truht'"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ranef", "truth": {"kind": "long-run", "n_truth": 1e5}},
+     "truth field 'n_truth' must be an integer, got float"),
 ], ids=["unknown config key", "truth not an object", "params not an object",
         "unknown hyper key", "config value not a number", "hyper value not a number",
-        "empty params object", "empty params list"])
+        "empty params object", "empty params list", "unknown ranef key", "ranef K a bool",
+        "ranef K a float", "hadamard p a bool", "unknown hadamard key", "scalar a a bool",
+        "step_sd a bool", "unknown model key in a config", "external truth without a vector",
+        "unknown truth key", "n_truth a float"])
 def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
@@ -371,9 +403,33 @@ def test_owning_analysis_prints_the_bytes_of_a_copying_one(tmp_path, monkeypatch
            "positive definite\n" in errors
     assert "error: the variance of column c2 overflows; rescale the chain\n" in errors
     assert "error: the mean of column c4 overflows; rescale the chain\n" in errors
-    assert any(caught for _, _, _, caught in owning)
+    # chainvar's own warning, and never one of numpy's
+    assert {message for _, _, _, caught in owning for message in caught} == {
+        "excluded degenerate components [1] from the univariate ESS minimum"}
     # every chain but the degenerate ones gives some payload
     assert sum(code == 0 for code, _, _, _ in owning) > 40
+
+
+# the errors of a command whose arguments do not fit the chain
+_ARGUMENT_ERRORS = ("error: uis requires a univariate chain",
+                    "error: ellipsoid regions need a multivariate method",
+                    "error: cube regions are built from the uis method")
+
+
+def test_every_command_names_the_same_overflow_without_a_warning(tmp_path, capsys):
+    paths = {path.name: path for path, _ in _analyst_chains(tmp_path)}
+    for name, reason in (("overflow.bin", "the variance of column c2"),
+                         ("both.bin", "the mean of column c4")):
+        errors = set()
+        for argv in _commands():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli(*argv, "--input", str(paths[name]))
+            err = capsys.readouterr().err
+            assert code == 2 and not caught, (name, argv, [str(w.message) for w in caught])
+            if not err.startswith(_ARGUMENT_ERRORS):
+                errors.add(err)
+        assert errors == {f"error: {reason} overflows; rescale the chain\n"}, name
 
 
 def _traced_peak(argv) -> int:

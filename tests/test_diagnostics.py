@@ -1,6 +1,7 @@
 """Quantiles, effective sample size, and confidence regions against closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,22 @@ class TestChainOwnership:
             owning.estimate("uis")
         with pytest.raises(CenteredChainError):
             owning.ess("uis")
+
+    @pytest.mark.parametrize("call, args", [("region", ("uis", "cube", 0.9)), ("ess", ("uis",)),
+                                            ("component_ess", ())])
+    def test_owning_and_copying_analyses_name_the_same_overflow(self, call, args, tmp_path):
+        # the scan of c1 meets its overflowing variance first; the mean of
+        # c2, an overflow of the whole chain, is the one named
+        values = np.random.default_rng(3).standard_normal((500, 3))
+        values[:, 0] *= 2.0**520
+        values[:, 1] = 1.5e308 + values[:, 1] * 1e306
+        save_chain(Chain(values), tmp_path / "huge.bin", "bin")
+        for analysis in (Analysis(Chain(values)),
+                         Analysis._adopt(load_chain(tmp_path / "huge.bin", "bin"))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(MomentOverflowError, match="^the mean of column c2 overflows"):
+                    getattr(analysis, call)(*args)
 
     def test_failed_centering_is_never_repeated(self, tmp_path):
         values = np.random.default_rng(7).standard_normal((500, 3))

@@ -21,6 +21,7 @@ from chainvar import (
     run_replications,
     symmat,
 )
+from chainvar.estimators import METHODS
 from chainvar.experiments import CSV_COLUMNS
 from chainvar.samplers import build
 
@@ -400,16 +401,28 @@ class TestOneChainCopy:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * config.n * simulate.p
 
-    def test_a_whole_chain_overflow_is_named_before_a_column_scan(self, monkeypatch):
-        # the scan of c1 meets its overflowing variance first, but the run
-        # names the mean of c2, as the whole chain's moments do
+    @staticmethod
+    def _overflowing_simulator():
         values = np.random.default_rng(3).standard_normal((500, 3))
         values[:, 0] *= 2.0**520
         values[:, 1] = 1.5e308 + values[:, 1] * 1e306
-        simulate = lambda n, seed: (Chain(values), {})
+        return lambda n, seed: (Chain(values), {})
+
+    def test_a_whole_chain_overflow_is_named_before_a_column_scan(self, monkeypatch):
+        # the scan of c1 meets its overflowing variance first, but the run
+        # names the mean of c2, as the whole chain's moments do
+        simulate = self._overflowing_simulator()
         monkeypatch.setattr(experiments, "build", lambda model, params: (simulate, np.zeros(3)))
         with pytest.raises(MomentOverflowError, match="^the mean of column c2 overflows"):
             run_replications(scalar_config(replications=2))
+
+    @pytest.mark.parametrize("methods", [("uis",), ("mis",), METHODS])
+    def test_a_replication_records_no_overflow(self, methods):
+        # a moment overflow is not an unusable component: no uis row records
+        # it as failed, and no later row meets the centered chain
+        with pytest.raises(MomentOverflowError, match="^the mean of column c2 overflows"):
+            experiments._replication_record(scalar_config(methods=methods),
+                                            self._overflowing_simulator(), 0)
 
 
 class TestEmitTables:
