@@ -176,7 +176,7 @@ def _long_run_truth(simulate: Simulator, n_truth: int,
     batch_sums = np.zeros((a, p))
     total = None
     first = 0
-    for block in simulate.blocks(n_truth, seed, max(1, _TRUTH_BLOCK_BYTES // (8 * p))):
+    for block, _ in simulate.blocks(n_truth, seed, max(1, _TRUTH_BLOCK_BYTES // (8 * p))):
         _check_finite(block, at=lambda i: f"row {first + i}")
         batched = block[:max(0, a * b - first)]
         if batched.size:

@@ -1,4 +1,4 @@
-"""Seed handling shared by all samplers.
+"""Seed handling and the block loop shared by all samplers.
 
 Every sampler accepts an integer seed, a ``numpy.random.SeedSequence``, or
 a ready ``numpy.random.Generator``; integers and seed sequences are fed to
@@ -6,10 +6,15 @@ a ready ``numpy.random.Generator``; integers and seed sequences are fed to
 the stream ``SeedSequence(master_seed, spawn_key=(0, r))`` and the
 long-run pseudo-truth run uses ``spawn_key=(1,)``, so the two families can
 never collide.  Identical seeds give bit-identical chains.
+
+Every sampler is one block generator over :func:`row_blocks`: it supplies
+the step that fills the next rows, and the loop checks the sizes, holds
+the one buffer and yields each block with the statistics so far.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from typing import Union
 
 import numpy as np
@@ -33,3 +38,23 @@ def replication_stream(master_seed: int, index: int) -> np.random.SeedSequence:
 def truth_stream(master_seed: int) -> np.random.SeedSequence:
     """Reserved stream for the long-run pseudo-truth simulation."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(1,))
+
+
+def row_blocks(n: int, rows: int, p: int,
+               fill: Callable[[np.ndarray], dict]) -> Iterator[tuple[np.ndarray, dict]]:
+    """The n rows of a chain as consecutive blocks of ``rows`` rows of p
+    columns (the last may be shorter), each yielded with ``fill(block)``.
+
+    ``fill`` writes the chain's next ``len(block)`` rows into the block
+    and returns the sampler statistics so far.  Every block is a view of
+    one buffer of ``min(rows, n)`` rows: a block is the caller's until the
+    next one is asked for.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if rows < 1:
+        raise ValueError(f"need rows >= 1, got {rows}")
+    buffer = np.empty((min(rows, n), p))
+    for first in range(0, n, rows):
+        out = buffer[:min(rows, n - first)]
+        yield out, fill(out)

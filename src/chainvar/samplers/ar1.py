@@ -22,7 +22,7 @@ import numpy as np
 
 from ..chain import Chain
 from ..symmat import symmetrize
-from ._rng import SeedLike, as_generator
+from ._rng import SeedLike, as_generator, row_blocks
 from .hadamard import hadamard
 
 _AV_SYMMETRY_TOL = 1e-12
@@ -228,9 +228,10 @@ def _chunks(params: Ar1Params, n: int, rng: np.random.Generator) -> Iterator[np.
 
 
 def ar1_blocks(params: Ar1Params, n: int, seed: SeedLike,
-               rows: int) -> Iterator[np.ndarray]:
+               rows: int) -> Iterator[tuple[np.ndarray, dict]]:
     """Simulate n steps started from the stationary distribution, as
-    consecutive blocks of ``rows`` rows (the last block may be shorter).
+    consecutive blocks of ``rows`` rows (the last block may be shorter),
+    each with no sampler statistics (see :func:`row_blocks`).
 
     The recursion is run in the decoupling coordinates of
     :func:`Ar1Params` (independent scalar AR(1) components), then mapped
@@ -243,27 +244,26 @@ def ar1_blocks(params: Ar1Params, n: int, seed: SeedLike,
     six chunks of p columns besides the block.  Deterministic: identical
     seeds give bit-identical blocks.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if rows < 1:
-        raise ValueError(f"need rows >= 1, got {rows}")
     chunks = _chunks(params, n, as_generator(seed))
     chunk, used = None, _CHUNK
-    for start in range(0, n, rows):
-        block = np.empty((min(rows, n - start), params.p))
+
+    def fill(out: np.ndarray) -> dict:
+        nonlocal chunk, used
         filled = 0
-        while filled < len(block):
+        while filled < len(out):
             if used == _CHUNK:
                 chunk, used = next(chunks), 0
-            take = min(_CHUNK - used, len(block) - filled)
-            block[filled:filled + take] = chunk[used:used + take]
+            take = min(_CHUNK - used, len(out) - filled)
+            out[filled:filled + take] = chunk[used:used + take]
             filled += take
             used += take
-        yield block
+        return {}
+
+    yield from row_blocks(n, rows, params.p, fill)
 
 
 def ar1_simulate(params: Ar1Params, n: int, seed: SeedLike) -> Chain:
     """Simulate n steps started from the stationary distribution: the
     chain of :func:`ar1_blocks` as one block, written into one (n, p)
     array.  Deterministic: identical seeds give bit-identical chains."""
-    return Chain._adopt(next(ar1_blocks(params, n, seed, n)))
+    return Chain._adopt(next(ar1_blocks(params, n, seed, n))[0])

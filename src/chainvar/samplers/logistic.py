@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import io
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib.resources import files
@@ -19,7 +20,7 @@ from importlib.resources import files
 import numpy as np
 
 from ..chain import Chain
-from ._rng import SeedLike, as_generator
+from ._rng import SeedLike, as_generator, row_blocks
 
 # Coefficients used to generate the packaged synthetic data (intercept first).
 SYNTHETIC_TRUE_BETA = np.array([0.5, 1.0, -0.5, 0.75, -1.0])
@@ -125,25 +126,24 @@ class RwmRun:
 
 
 def random_walk_metropolis_blocks(logpdf, initial, step_sd: float, n: int, seed: SeedLike,
-                                  rows: int) -> Iterator[tuple[np.ndarray, int]]:
+                                  rows: int) -> Iterator[tuple[np.ndarray, dict]]:
     """Symmetric random walk Metropolis with isotropic normal increments,
     as consecutive blocks of ``rows`` rows (the last block may be shorter).
 
     Records the state after each of the n iterations, and yields each
-    block with the number of proposals accepted so far.  The stream is
-    that of drawing all n increment rows, then all n acceptance uniforms:
-    the increments come from a copy of the generator, and the generator
-    itself skips them before it draws the uniforms, a block at a time.
-    So the blocks, concatenated, are the chain of
-    :func:`random_walk_metropolis` bit for bit, whatever ``rows`` is, and
-    a ``Generator`` passed as ``seed`` ends in the same state.
+    block with ``{"acceptance rate": ...}`` over the rows so far (see
+    :func:`row_blocks`).  The stream is that of drawing all n increment
+    rows, then all n acceptance uniforms: the increments come from a copy
+    of the generator, and the generator itself skips them before it draws
+    the uniforms, a block at a time.  So the blocks, concatenated, are the
+    chain of :func:`random_walk_metropolis` bit for bit, whatever ``rows``
+    is, and a ``Generator`` passed as ``seed`` ends in the same state.
     """
-    if step_sd <= 0.0:
-        raise ValueError(f"step_sd must be > 0, got {step_sd}")
+    if not (math.isfinite(step_sd) and step_sd > 0.0):
+        raise ValueError(f"step_sd must be finite and > 0, got {step_sd}")
+    # ahead of the skip, whose buffer is sized by n
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if rows < 1:
-        raise ValueError(f"need rows >= 1, got {rows}")
     rng = as_generator(seed)
     increments_rng = copy.deepcopy(rng)
     x = np.array(initial, dtype=np.float64).reshape(-1)
@@ -154,22 +154,28 @@ def random_walk_metropolis_blocks(logpdf, initial, step_sd: float, n: int, seed:
         rng.standard_normal(out=skip[:min(left, skip.size)])
     del skip
     logp = float(logpdf(x))
-    accepted = 0
-    for first in range(0, n, rows):
-        m = min(rows, n - first)
+    accepted = done = 0
+
+    def fill(out: np.ndarray) -> dict:
+        nonlocal x, logp, accepted, done
+        m = out.shape[0]
         increments = increments_rng.normal(0.0, step_sd, size=(m, p))
         log_uniforms = np.log(rng.uniform(size=m))
-        out = np.empty((m, p))
+        # the Metropolis loop runs on locals, which are faster to read
+        target, state, logp_state, accepts = logpdf, x, logp, accepted
         for i in range(m):
-            proposal = x + increments[i]
-            logp_prop = float(logpdf(proposal))
-            if log_uniforms[i] <= logp_prop - logp:
-                x = proposal
-                logp = logp_prop
-                accepted += 1
-            out[i] = x
-        del increments, log_uniforms
-        yield out, accepted
+            proposal = state + increments[i]
+            logp_prop = float(target(proposal))
+            if log_uniforms[i] <= logp_prop - logp_state:
+                state = proposal
+                logp_state = logp_prop
+                accepts += 1
+            out[i] = state
+        x, logp, accepted = state, logp_state, accepts
+        done += m
+        return {"acceptance rate": accepted / done}
+
+    yield from row_blocks(n, rows, p, fill)
 
 
 def random_walk_metropolis(logpdf, initial, step_sd: float, n: int,
@@ -181,16 +187,21 @@ def random_walk_metropolis(logpdf, initial, step_sd: float, n: int,
     given the seed: proposal increments and acceptance uniforms are drawn
     in a fixed order.
     """
-    out, accepted = next(random_walk_metropolis_blocks(logpdf, initial, step_sd, n, seed, n))
-    return RwmRun(Chain._adopt(out), accepted / n)
+    block, stats = next(random_walk_metropolis_blocks(logpdf, initial, step_sd, n, seed, n))
+    return RwmRun(Chain._adopt(block), stats["acceptance rate"])
+
+
+def rwm_logistic_blocks(data: LogisticData, step_sd: float, n: int, seed: SeedLike,
+                        rows: int) -> Iterator[tuple[np.ndarray, dict]]:
+    """Random walk Metropolis on the logistic posterior, started at zero,
+    as blocks of :func:`random_walk_metropolis_blocks`."""
+    # built where it runs, so it need not pickle; a keyword partial calls slower
+    return random_walk_metropolis_blocks(lambda beta: log_posterior(beta, data),
+                                         np.zeros(data.n_coef), step_sd, n, seed, rows)
 
 
 def rwm_logistic(data: LogisticData, step_sd: float, n: int, seed: SeedLike) -> RwmRun:
-    """Random walk Metropolis on the logistic posterior, started at zero."""
-    return random_walk_metropolis(
-        lambda b: log_posterior(b, data),
-        np.zeros(data.n_coef),
-        step_sd,
-        n,
-        seed,
-    )
+    """Random walk Metropolis on the logistic posterior, started at zero:
+    the chain of :func:`rwm_logistic_blocks` as one block."""
+    block, stats = next(rwm_logistic_blocks(data, step_sd, n, seed, n))
+    return RwmRun(Chain._adopt(block), stats["acceptance rate"])

@@ -28,7 +28,7 @@ from numbers import Real
 import numpy as np
 
 from ..chain import Chain
-from ._rng import SeedLike, as_generator
+from ._rng import SeedLike, as_generator, row_blocks
 
 
 @dataclass(frozen=True)
@@ -215,16 +215,16 @@ def simulate_dataset(K: int, seed: SeedLike = 0) -> np.ndarray:
 
 
 def gibbs_blocks(y, hyper: RandomEffectsHyper | None, n: int, seed: SeedLike,
-                 rows: int) -> Iterator[np.ndarray]:
+                 rows: int) -> Iterator[tuple[np.ndarray, dict]]:
     """Run the random scan Gibbs sampler for n iterations, as consecutive
-    blocks of ``rows`` rows (the last block may be shorter).
+    blocks of ``rows`` rows (the last block may be shorter), each with no
+    sampler statistics (see :func:`row_blocks`).
 
     Starts from ``theta = y``, ``mu = mean(y)`` and unit precisions, and
     records all 3K+2 coordinates after every iteration.  The sweep and
     the generator carry the chain from one block to the next, so the
     blocks, concatenated, are the chain of :func:`gibbs_random_effects`
-    bit for bit, whatever ``rows`` is.  Every block is written into one
-    buffer: a block is the caller's until the next one is asked for.
+    bit for bit, whatever ``rows`` is.
 
     The block choice reads the bit generator through its ctypes
     interface, which does not take the generator's lock: a ``Generator``
@@ -236,10 +236,6 @@ def gibbs_blocks(y, hyper: RandomEffectsHyper | None, n: int, seed: SeedLike,
         raise ValueError("need K >= 1 observations")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if rows < 1:
-        raise ValueError(f"need rows >= 1, got {rows}")
     hyper = hyper or RandomEffectsHyper()
     rng = as_generator(seed)
     start = RandomEffectsState(theta=y.copy(), mu=float(y.mean()), lam_theta=1.0,
@@ -255,13 +251,14 @@ def gibbs_blocks(y, hyper: RandomEffectsHyper | None, n: int, seed: SeedLike,
     bits = rng.bit_generator.ctypes
     next_uint32, bitgen = bits.next_uint32, bits.state
     row = sweep.row
-    buffer = np.empty((min(rows, n), 3 * K + 2))
-    for first in range(0, n, rows):
-        out = buffer[:min(rows, n - first)]
+
+    def fill(out: np.ndarray) -> dict:
         for i in range(out.shape[0]):
             draws[next_uint32(bitgen) >> 30]()
             out[i] = row
-        yield out
+        return {}
+
+    yield from row_blocks(n, rows, 3 * K + 2, fill)
 
 
 def gibbs_random_effects(y, hyper: RandomEffectsHyper | None = None, n: int = 1,
@@ -273,4 +270,4 @@ def gibbs_random_effects(y, hyper: RandomEffectsHyper | None = None, n: int = 1,
     A ``Generator`` passed as ``seed`` must not be used by another thread
     during the run (see :func:`gibbs_blocks`).
     """
-    return Chain._adopt(next(gibbs_blocks(y, hyper, n, seed, n)))
+    return Chain._adopt(next(gibbs_blocks(y, hyper, n, seed, n))[0])

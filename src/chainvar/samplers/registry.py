@@ -12,33 +12,31 @@ import numpy as np
 
 from ..chain import Chain
 from ._rng import SeedLike
-from .ar1 import Ar1Params, ar1_blocks, ar1_simulate, ar1_truth
-from .logistic import (LogisticData, load_logit_data, log_posterior,
-                       random_walk_metropolis_blocks, rwm_logistic)
-from .random_effects import (RandomEffectsHyper, gibbs_blocks, gibbs_random_effects,
-                             simulate_dataset)
+from .ar1 import Ar1Params, ar1_blocks, ar1_truth
+from .logistic import load_logit_data, rwm_logistic_blocks
+from .random_effects import RandomEffectsHyper, gibbs_blocks, simulate_dataset
 
 MODELS = ("ar1", "logistic", "ranef")
 
 
 @dataclass(frozen=True)
 class Simulator:
-    """One model's seeded sampler, in the two shapes its callers need.
+    """One model's seeded sampler: a block generator and its width.
 
-    ``simulator(n, seed)`` returns the chain and the sampler statistics
-    worth reporting by name.  ``simulator.blocks(n, seed, rows)`` yields
-    the rows of the same chain, bit for bit, as consecutive arrays of
-    ``rows`` rows of ``p`` columns (the last may be shorter), each the
-    caller's until the next one is asked for; it holds one block, not the
-    chain.
+    ``simulator.blocks(n, seed, rows)`` yields the rows of the chain as
+    consecutive arrays of ``rows`` rows of ``p`` columns (the last may be
+    shorter), each the caller's until the next one is asked for and each
+    with the sampler statistics so far, worth reporting by name; it holds
+    one block, not the chain.  ``simulator(n, seed)`` is its one block of
+    n rows, as a chain and the statistics.
     """
 
-    run: Callable[[int, SeedLike], tuple[Chain, dict]]
-    blocks: Callable[[int, SeedLike, int], Iterator[np.ndarray]]
+    blocks: Callable[[int, SeedLike, int], Iterator[tuple[np.ndarray, dict]]]
     p: int
 
     def __call__(self, n: int, seed: SeedLike) -> tuple[Chain, dict]:
-        return self.run(n, seed)
+        block, stats = next(self.blocks(n, seed, n))
+        return Chain._adopt(block), stats
 
 
 def _json_object(value, what: str) -> dict:
@@ -65,9 +63,13 @@ def _typed(value, kind: type, name: str):
     return value
 
 
-def _param(params: dict, model: str, key: str, kind: type, default):
-    """``params[key]``, or ``default`` if it is absent, of the type ``kind``."""
-    return _typed(params.get(key, default), kind, f"{model} parameter {key!r}")
+def _param(params: dict, model: str, key: str, kind: type, default, minimum=None):
+    """``params[key]``, or ``default`` if it is absent, of the type ``kind``
+    and at least ``minimum`` if one is given."""
+    value = _typed(params.get(key, default), kind, f"{model} parameter {key!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{model} parameter {key!r} must be >= {minimum}, got {value}")
+    return value
 
 
 def _require(params: dict, key: str, kind: str):
@@ -94,32 +96,6 @@ def _ar1_params(params: dict) -> Ar1Params:
     raise ValueError(f"unknown ar1 parameter kind {kind!r}")
 
 
-def _ar1_run(params: Ar1Params, n: int, seed: SeedLike) -> tuple[Chain, dict]:
-    return ar1_simulate(params, n, seed), {}
-
-
-def _rwm_run(data: LogisticData, step_sd: float, n: int, seed: SeedLike) -> tuple[Chain, dict]:
-    run = rwm_logistic(data, step_sd, n, seed)
-    return run.chain, {"acceptance rate": run.acceptance_rate}
-
-
-def _rwm_blocks(data: LogisticData, step_sd: float, n: int, seed: SeedLike,
-                rows: int) -> Iterator[np.ndarray]:
-    for block, _ in random_walk_metropolis_blocks(partial(log_posterior, data=data),
-                                                  np.zeros(data.n_coef), step_sd, n, seed, rows):
-        yield block
-
-
-def _gibbs_run(y: np.ndarray, hyper: RandomEffectsHyper, n: int,
-               seed: SeedLike) -> tuple[Chain, dict]:
-    return gibbs_random_effects(y, hyper, n, seed), {}
-
-
-def _gibbs_blocks(y: np.ndarray, hyper: RandomEffectsHyper, n: int, seed: SeedLike,
-                  rows: int) -> Iterator[np.ndarray]:
-    return gibbs_blocks(y, hyper, n, seed, rows)
-
-
 def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
     """Returns (simulate, analytic stationary mean or None) for a model.
 
@@ -132,14 +108,12 @@ def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
     params = _json_object(params, f"{model} parameters")
     if model == "ar1":
         ar1 = _ar1_params(params)
-        return (Simulator(partial(_ar1_run, ar1), partial(ar1_blocks, ar1), ar1.p),
-                ar1_truth(ar1).mu)
+        return Simulator(partial(ar1_blocks, ar1), ar1.p), ar1_truth(ar1).mu
     if model == "logistic":
         _check_keys(params, ("step_sd", "data_path"), "logistic parameter")
         step_sd = float(_param(params, model, "step_sd", Real, 0.3))
         data = load_logit_data(params.get("data_path"))
-        return (Simulator(partial(_rwm_run, data, step_sd), partial(_rwm_blocks, data, step_sd),
-                          data.n_coef), None)
+        return Simulator(partial(rwm_logistic_blocks, data, step_sd), data.n_coef), None
     if model == "ranef":
         _check_keys(params, ("K", "data_seed", "hyper", "y"), "ranef parameter")
         hyper = _json_object(params.get("hyper", {}), "ranef 'hyper'")
@@ -148,8 +122,7 @@ def build(model: str, params: dict) -> tuple[Simulator, np.ndarray | None]:
         if "y" in params:
             y = np.asarray(params["y"], dtype=np.float64)
         else:
-            y = simulate_dataset(int(_param(params, model, "K", Integral, 2)),
-                                 int(_param(params, model, "data_seed", Integral, 0)))
-        return (Simulator(partial(_gibbs_run, y, hyper), partial(_gibbs_blocks, y, hyper),
-                          3 * y.size + 2), None)
+            y = simulate_dataset(int(_param(params, model, "K", Integral, 2, minimum=1)),
+                                 int(_param(params, model, "data_seed", Integral, 0, minimum=0)))
+        return Simulator(partial(gibbs_blocks, y, hyper), 3 * y.size + 2), None
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")

@@ -315,6 +315,15 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
     (("simulate", "--model", "logistic", "--n", "10", "--seed", "1", "--out", "{out}",
       "--params", "{json}"), {"step_sd": False},
      "logistic parameter 'step_sd' must be a number, got bool"),
+    (("simulate", "--model", "logistic", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"step_sd": float("nan")}, "step_sd must be finite and > 0, got nan"),
+    (("simulate", "--model", "logistic", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"step_sd": float("inf")}, "step_sd must be finite and > 0, got inf"),
+    (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"K": -1}, "ranef parameter 'K' must be >= 1, got -1"),
+    (("simulate", "--model", "ranef", "--n", "10", "--seed", "1", "--out", "{out}",
+      "--params", "{json}"), {"K": 2, "data_seed": -1},
+     "ranef parameter 'data_seed' must be >= 0, got -1"),
     (("experiment", "--config", "{json}", "--out", "{out}"),
      {"model": "ranef", "model_params": {"k": 21}, "truth": {"kind": "external", "vector": []}},
      "unknown ranef parameter key 'k'"),
@@ -330,7 +339,8 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
         "unknown hyper key", "config value not a number", "hyper value not a number",
         "empty params object", "empty params list", "unknown ranef key", "ranef K a bool",
         "ranef K a float", "hadamard p a bool", "unknown hadamard key", "scalar a a bool",
-        "step_sd a bool", "unknown model key in a config", "external truth without a vector",
+        "step_sd a bool", "step_sd NaN", "step_sd infinite", "ranef K negative",
+        "ranef data_seed negative", "unknown model key in a config", "external truth without a vector",
         "unknown truth key", "n_truth a float"])
 def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, capsys):
     path = tmp_path / "input.json"

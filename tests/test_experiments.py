@@ -307,7 +307,7 @@ class _FixedSimulator:
     def blocks(self, n, seed, rows):
         assert self.values is not None, "the run was simulated"
         for first in range(0, n, rows):
-            yield self.values[first:first + rows].copy()
+            yield self.values[first:first + rows].copy(), {}
 
 
 class TestOverlap:
@@ -317,20 +317,17 @@ class TestOverlap:
         # one worker simulates the truth, in blocks, then each replication,
         # in this process; with a pool this process simulates nothing (the
         # workers' appends stay in the workers)
-        registry = importlib.import_module("chainvar.samplers.registry")
-        real_chain, real_blocks = registry.gibbs_random_effects, registry.gibbs_blocks
+        # the sampler reaches its block loop by name at run time, so the
+        # recorder is not bound into the simulator that the pool pickles
+        random_effects = importlib.import_module("chainvar.samplers.random_effects")
+        real_row_blocks = random_effects.row_blocks
         rows = []
 
-        def recording_chain(y, hyper, n, seed):
+        def recording_row_blocks(n, block_rows, p, fill):
             rows.append(n)
-            return real_chain(y, hyper, n, seed)
+            return real_row_blocks(n, block_rows, p, fill)
 
-        def recording_blocks(y, hyper, n, seed, block_rows):
-            rows.append(n)
-            return real_blocks(y, hyper, n, seed, block_rows)
-
-        monkeypatch.setattr(registry, "gibbs_random_effects", recording_chain)
-        monkeypatch.setattr(registry, "gibbs_blocks", recording_blocks)
+        monkeypatch.setattr(random_effects, "row_blocks", recording_row_blocks)
         config = ExperimentConfig(model="ranef", model_params={"K": 2, "data_seed": 0},
                                   n=2_000, replications=3, methods=("mis",),
                                   regions=("ellipsoid",),

@@ -365,6 +365,11 @@ class TestRandomWalkMetropolis:
     def test_validation(self):
         with pytest.raises(ValueError):
             random_walk_metropolis(lambda x: 0.0, [0.0], 0.0, 10, seed=1)
+        for step_sd in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^step_sd must be finite and > 0, got"):
+                random_walk_metropolis(lambda x: 0.0, [0.0], step_sd, 10, seed=1)
+        with pytest.raises(ValueError, match="^need n >= 1, got -1$"):
+            random_walk_metropolis(lambda x: 0.0, [0.0], 1.0, -1, seed=1)
         with pytest.raises(ValueError):
             random_walk_metropolis(lambda x: 0.0, [0.0], 1.0, 0, seed=1)
 
@@ -769,7 +774,7 @@ def test_blocks_concatenate_to_the_chain(model, rows):
     whole, blocked = (np.random.Generator(np.random.PCG64(91)) for _ in range(2))
     chain, _ = simulate(n, whole)
     # a block is the caller's only until the next one is drawn
-    blocks = [block.copy() for block in simulate.blocks(n, blocked, rows)]
+    blocks = [block.copy() for block, _ in simulate.blocks(n, blocked, rows)]
     sizes = [min(rows, n - first) for first in range(0, n, rows)]
     assert [block.shape for block in blocks] == [(m, simulate.p) for m in sizes]
     assert np.concatenate(blocks).tobytes() == chain.values.tobytes()
@@ -787,7 +792,9 @@ def test_ar1_blocks_agree_to_rounding(rows, on_blas_threads):
         with on_blas_threads(threads):
             whole, blocked = (np.random.Generator(np.random.PCG64(92)) for _ in range(2))
             chain = ar1_simulate(params, n, whole).values
-            got = np.concatenate(list(ar1_blocks(params, n, blocked, rows)))
+            # a block is the caller's only until the next one is drawn
+            got = np.concatenate([block.copy() for block, _ in
+                                  ar1_blocks(params, n, blocked, rows)])
         assert got.tobytes() == chain.tobytes(), f"{threads} BLAS threads"
         assert _same_state(whole.bit_generator.state, blocked.bit_generator.state)
 
@@ -812,3 +819,31 @@ def test_blocks_need_a_row(model):
     simulate, _ = build(model, _BUILD_PARAMS[model])
     with pytest.raises(ValueError, match="need rows >= 1, got 0"):
         next(simulate.blocks(10, 1, 0))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_blocks_need_an_n(model):
+    simulate, _ = build(model, _BUILD_PARAMS[model])
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        next(simulate.blocks(0, 1, 5))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_blocks_share_one_buffer(model):
+    simulate, _ = build(model, _BUILD_PARAMS[model])
+    blocks = [block for block, _ in simulate.blocks(25, 1, 10)]
+    assert [len(block) for block in blocks] == [10, 10, 5]
+    assert all(np.shares_memory(block, blocks[0]) for block in blocks[1:])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 997, "n"])
+def test_rwm_blocks_end_with_the_acceptance_rate(rows):
+    # the rate over the rows so far, which at the last block is the run's
+    n = 2_000
+    rows = n if rows == "n" else rows
+    data = load_logit_data()
+    run = rwm_logistic(data, 0.3, n, 93)
+    simulate, _ = build("logistic", {})
+    *_, (_, stats) = simulate.blocks(n, 93, rows)
+    assert stats == {"acceptance rate": run.acceptance_rate}
+    assert simulate(n, 93)[1] == stats
