@@ -4,8 +4,10 @@ The replication harness takes its parallelism from worker processes, so
 it runs BLAS on one thread: idle OpenBLAS threads spin on the cores the
 workers need.  Single-column lag products run on one thread everywhere,
 because a threaded dot product splits its sum, which changes the last
-digits of the result.  Only libraries already loaded into this process
-are touched; where none is found, nothing happens.
+digits of the result.  The libraries touched are the ones mapped into
+this process when it first asks for them: numpy maps its own at import,
+and no chainvar module maps another.  Where none is found, nothing
+happens.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import sys
 import threading
 from pathlib import Path
 
@@ -37,16 +38,14 @@ def _loaded_paths() -> list[str]:
     return sorted(path for path in paths if "openblas" in Path(path).name)
 
 
-@functools.lru_cache(maxsize=1)
-def _scan(module_count: int) -> tuple:
-    """(set, get) thread-count functions, one pair per loaded library.
+@functools.cache
+def _controls() -> tuple:
+    """(set, get) thread-count functions, one pair per OpenBLAS mapped at the first call.
 
-    A library is mapped when a module that links it is imported: numpy
-    maps its own at import.  No chainvar module imports scipy, but a
-    caller may have, and scipy maps its own OpenBLAS with the first
-    module that links it.  So the scan of ``/proc/self/maps`` (about
-    1 ms) is reused while the number of imported modules, its only
-    argument, stays the same.
+    The scan of ``/proc/self/maps`` (about 1 ms) runs once per process.
+    numpy maps its own OpenBLAS at import, and no chainvar module maps
+    another, so every library chainvar computes with is found.  A library
+    that a caller maps later (scipy's, say) keeps its own thread count.
     """
     controls = []
     for path in _loaded_paths():
@@ -60,21 +59,15 @@ def _scan(module_count: int) -> tuple:
     return tuple(controls)
 
 
-def _controls() -> tuple:
-    """The (set, get) pairs of every OpenBLAS that the modules imported so far loaded."""
-    return _scan(len(sys.modules))
-
-
 def pin_single_thread() -> None:
-    """Set every OpenBLAS loaded now to one thread for the rest of the process."""
+    """Set every OpenBLAS found to one thread for the rest of the process."""
     for setter, _ in _controls():
         setter(1)
 
 
 # The thread count is process-wide, so managers share one nesting count:
-# the outermost pins every library loaded when it enters and saves each
-# one's count, and the last one to leave restores exactly those.  A library
-# first loaded inside the block keeps its own count.
+# the outermost pins every library found and saves each one's count, and
+# the last one to leave restores exactly those.
 _lock = threading.Lock()
 _depth = 0
 _saved: list[tuple] = []
@@ -82,7 +75,7 @@ _saved: list[tuple] = []
 
 @contextlib.contextmanager
 def single_threaded_blas():
-    """Run the body with every loaded OpenBLAS on one thread; restore the counts after."""
+    """Run the body with every OpenBLAS found on one thread; restore the counts after."""
     global _depth
     with _lock:
         if _depth == 0:

@@ -386,6 +386,8 @@ class Analysis:
     def region(self, method: str, kind: str, level: float) -> Region:
         """The ``ellipsoid`` of a multivariate method, or the ``cube`` or
         ``bonferroni`` cube of ``uis``, at ``level``."""
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {level}")
         chain, alpha = self.chain, 1.0 - level
         if kind == "ellipsoid":
             if method == "uis":

@@ -201,7 +201,8 @@ def _uis_scan(centered: np.ndarray, column: int) -> UvEstimate:
     Each lag and sum is the scalar form of the one-column
     :class:`LagPairSequence`'s (the same operations in the same order),
     so the estimate is bit-for-bit that of its pairs and partial sums.
-    Run under :func:`single_threaded_blas`, as every one-column lag is.
+    The lags run on one BLAS thread, as every one-column lag does: a
+    threaded dot product splits its sum and so its last digits.
     """
     n = centered.shape[0]
     if n < 2:
@@ -211,19 +212,20 @@ def _uis_scan(centered: np.ndarray, column: int) -> UvEstimate:
         v = float(np.dot(centered[: n - t], centered[t:]) / n)
         return (v + v) / 2.0
 
-    with np.errstate(over="ignore"):
-        gamma0 = sym_lag(0)
-    if not math.isfinite(gamma0):
-        raise MomentOverflowError("variance", column)
-    pair = gamma0 + sym_lag(1)
-    if not pair > 0.0:
-        return UvEstimate(gamma0, -1, degenerate=True)
-    t_n, partial = 0, -gamma0 + 2.0 * pair
-    for i in range(1, n // 2):
-        pair = sym_lag(2 * i) + sym_lag(2 * i + 1)
+    with single_threaded_blas():
+        with np.errstate(over="ignore"):
+            gamma0 = sym_lag(0)
+        if not math.isfinite(gamma0):
+            raise MomentOverflowError("variance", column)
+        pair = gamma0 + sym_lag(1)
         if not pair > 0.0:
-            break
-        t_n, partial = i, partial + 2.0 * pair
+            return UvEstimate(gamma0, -1, degenerate=True)
+        t_n, partial = 0, -gamma0 + 2.0 * pair
+        for i in range(1, n // 2):
+            pair = sym_lag(2 * i) + sym_lag(2 * i + 1)
+            if not pair > 0.0:
+                break
+            t_n, partial = i, partial + 2.0 * pair
     return UvEstimate(partial, t_n)
 
 
@@ -246,10 +248,9 @@ def uis(chain: ChainOrPairs) -> UvEstimate:
     """
     if chain.p != 1:
         raise ValueError(f"uis requires a univariate chain, got p={chain.p}")
-    with single_threaded_blas():
-        if isinstance(chain, LagPairSequence):
-            return _uis_scan(chain._centered[:, 0], 0)
-        return _uis_scan(_centered_column(chain.values, 0), 0)
+    if isinstance(chain, LagPairSequence):
+        return _uis_scan(chain._centered[:, 0], 0)
+    return _uis_scan(_centered_column(chain.values, 0), 0)
 
 
 def uis_components(chain: Chain) -> list[UvEstimate]:
@@ -260,8 +261,7 @@ def uis_components(chain: Chain) -> list[UvEstimate]:
     coordinate whose moments overflow raises :class:`MomentOverflowError`
     naming its column of ``chain``.
     """
-    with single_threaded_blas():
-        return [_uis_scan(_centered_column(chain.values, j), j) for j in range(chain.p)]
+    return [_uis_scan(_centered_column(chain.values, j), j) for j in range(chain.p)]
 
 
 # Estimators of the full p-by-p long-run covariance, by method name.

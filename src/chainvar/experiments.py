@@ -19,7 +19,7 @@ from .diagnostics import Analysis, Region
 from .chain import _check_finite
 from .estimators import METHODS, NoPositiveDefinitePartialSum
 from .samplers import MODELS, SeedLike, build, replication_stream, truth_stream
-from .samplers.registry import Simulator, _check_keys, _typed
+from .samplers.registry import Simulator, _check_keys, _json_object, _typed
 from .symmat import NotPositiveDefiniteError
 
 REGION_KINDS = ("ellipsoid", "cube", "bonferroni")
@@ -64,12 +64,12 @@ class ExperimentConfig:
             raise ValueError(f"need replications >= 1, got {self.replications}")
         if self.n < 4:
             raise ValueError(f"need n >= 4, got {self.n}")
+        if self.master_seed < 0:
+            raise ValueError(f"need master_seed >= 0, got {self.master_seed}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         for name in ("model_params", "truth"):
-            if not isinstance(getattr(self, name), dict):
-                raise ValueError(f"config field {name!r} must be a JSON object, "
-                                 f"got {type(getattr(self, name)).__name__}")
+            _json_object(getattr(self, name), f"config field {name!r}")
         self.methods = tuple(self.methods)
         self.regions = tuple(self.regions)
         if not self.methods:
@@ -100,9 +100,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config a JSON object describes; a key that fits no field raises ValueError."""
-        if not isinstance(d, dict):
-            raise ValueError(f"an experiment config must be a JSON object, "
-                             f"got {type(d).__name__}")
+        _json_object(d, "an experiment config")
         _check_keys(d, [f.name for f in fields(cls)], "config")
         if "model" not in d:
             raise ValueError("an experiment config needs the key 'model'")
@@ -151,7 +149,14 @@ def _resolve_truth(config: ExperimentConfig, simulate: Simulator,
             raise ValueError("analytic truth is not available for this model")
         return analytic, None
     if kind == "external":
-        return np.asarray(config.truth["vector"], dtype=np.float64), None
+        vector = np.asarray(config.truth["vector"], dtype=np.float64)
+        if vector.shape != (simulate.p,):
+            raise ValueError(f"an external truth needs shape ({simulate.p},), "
+                             f"got {vector.shape}")
+        if not np.isfinite(vector).all():
+            raise ValueError(f"an external truth must be finite, "
+                             f"got {vector[~np.isfinite(vector)][0]}")
+        return vector, None
     n_truth = int(config.truth.get("n_truth", 10_000_000))
     if n_truth < 2:
         raise ValueError(f"a long-run truth needs n_truth >= 2, got {n_truth}")
@@ -350,8 +355,8 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> ReplicationR
     record gets its ``covered`` flags here, as soon as both it and the
     truth are in.  So with ``workers >= 2`` a long-run truth runs in one
     worker while the others work through the replications, and an error,
-    such as a truth of the wrong length, stops the run at the first
-    record instead of after the last.
+    such as an external truth of the wrong length, stops the run before
+    the first record instead of after the last.
 
     The whole run uses one OpenBLAS thread per process, and the caller's
     thread counts are restored on return, so the report does not depend

@@ -15,6 +15,7 @@ the one buffer and yields each block with the statistics so far.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -25,6 +26,8 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 def as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, Integral) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -74,7 +74,7 @@ class TestSingleThreadedBlas:
 
     def test_noop_without_openblas(self, two_threads, monkeypatch):
         monkeypatch.setattr(_blas, "_loaded_paths", lambda: [])
-        assert _blas._scan.__wrapped__(0) == ()
+        assert _blas._controls.__wrapped__() == ()
         monkeypatch.setattr(_blas, "_controls", lambda: ())
         with _blas.single_threaded_blas():
             assert _counts(two_threads) == [2] * len(two_threads)
@@ -109,7 +109,7 @@ class TestSingleThreadedBlas:
             openblas_get_num_threads64_=Function(lambda: count[0]))
         monkeypatch.setattr(_blas, "_loaded_paths", lambda: ["/lib/libopenblas64_p-r0.so"])
         monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path: lib)
-        controls = _blas._scan.__wrapped__(0)
+        controls = _blas._controls.__wrapped__()
         assert controls == ((lib.openblas_set_num_threads64_,
                              lib.openblas_get_num_threads64_),)
         monkeypatch.setattr(_blas, "_controls", lambda: controls)
@@ -117,10 +117,10 @@ class TestSingleThreadedBlas:
             assert count == [1]
         assert count == [4]
 
-    def test_rescans_only_after_an_import(self, monkeypatch):
+    def test_scans_once_even_after_an_import(self, monkeypatch):
         scans = []
         monkeypatch.setattr(_blas, "_loaded_paths", lambda: scans.append(1) or [])
-        _blas._scan.cache_clear()
+        _blas._controls.cache_clear()
         try:
             _blas._controls()
             with _blas.single_threaded_blas():
@@ -129,9 +129,9 @@ class TestSingleThreadedBlas:
             monkeypatch.setitem(sys.modules, "_chainvar_probe", types.ModuleType("_chainvar_probe"))
             with _blas.single_threaded_blas():
                 pass
-            assert len(scans) == 2
+            assert len(scans) == 1
         finally:
-            _blas._scan.cache_clear()
+            _blas._controls.cache_clear()
 
     def test_harness_restores_caller_threads(self, two_threads):
         config = chainvar.ExperimentConfig(

@@ -335,13 +335,25 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
     (("experiment", "--config", "{json}", "--out", "{out}"),
      {"model": "ranef", "truth": {"kind": "long-run", "n_truth": 1e5}},
      "truth field 'n_truth' must be an integer, got float"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "master_seed": -1}, "need master_seed >= 0, got -1"),
+    # the truth is checked against the model even where no region reads it
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "model_params": {"kind": "hadamard", "p": 4}, "n": 100,
+      "replications": 1, "regions": [], "truth": {"kind": "external", "vector": [1, 2]}},
+     "external truth needs shape (4,), got (2,)"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "model_params": {"kind": "hadamard", "p": 4}, "n": 100,
+      "replications": 1, "truth": {"kind": "external", "vector": [0, float("nan"), 0, 0]}},
+     "external truth must be finite, got nan"),
 ], ids=["unknown config key", "truth not an object", "params not an object",
         "unknown hyper key", "config value not a number", "hyper value not a number",
         "empty params object", "empty params list", "unknown ranef key", "ranef K a bool",
         "ranef K a float", "hadamard p a bool", "unknown hadamard key", "scalar a a bool",
         "step_sd a bool", "step_sd NaN", "step_sd infinite", "ranef K negative",
         "ranef data_seed negative", "unknown model key in a config", "external truth without a vector",
-        "unknown truth key", "n_truth a float"])
+        "unknown truth key", "n_truth a float", "master_seed negative",
+        "external truth of the wrong length", "external truth NaN"])
 def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
@@ -350,6 +362,20 @@ def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("region", "--input", "{chain}", "--level", "1.5"), "level must lie in (0, 1), got 1.5"),
+    (("region", "--input", "{chain}", "--level", "0"), "level must lie in (0, 1), got 0.0"),
+    (("region", "--input", "{chain}", "--level", "nan"), "level must lie in (0, 1), got nan"),
+    (("simulate", "--model", "ar1", "--n", "10", "--seed", "-1", "--out", "{out}"),
+     "seed must be >= 0, got -1"),
+], ids=["level above 1", "level 0", "level NaN", "seed negative"])
+def test_out_of_range_argument_is_named(argv, named, ar1_chain_file, tmp_path, capsys):
+    out = tmp_path / "out.bin"
+    assert run_cli(*(a.format(chain=ar1_chain_file, out=out) for a in argv)) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
 
 
 def test_stdout_output(ar1_chain_file, capsys):

@@ -338,7 +338,8 @@ class TestOverlap:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("truth, match", [
-        ({"kind": "external", "vector": [0.0] * 11}, r"point shape \(11,\) != center shape"),
+        ({"kind": "external", "vector": [0.0] * 11},
+         r"external truth needs shape \(12,\), got \(11,\)"),
         ({"kind": "long-run", "n_truth": 1}, r"long-run truth needs n_truth >= 2, got 1"),
     ], ids=["wrong-length-truth", "truth-raises"])
     def test_an_error_stops_the_run_early(self, truth, match, workers):
