@@ -190,8 +190,16 @@ class TestLagPairSequence:
             pairs.partial_sum(5)
 
 
-def row_major_lag(centered, t):
-    """Reference: one lag product over a row-major centered copy."""
+# The documented rule: a lag of p >= 2 columns is the sum, in row order, of
+# the products of consecutive blocks of 2**19 // p**2 rows, or one product
+# where that comes to fewer than 64 rows; then divided by n.
+def block_rows(p):
+    rows = 2**19 // p**2
+    return rows if rows >= 64 else None
+
+
+def one_product_lag(centered, t):
+    """One lag product over all n - t rows (pinned for one column)."""
     n = centered.shape[0]
     if centered.shape[1] == 1:
         with single_threaded_blas():
@@ -199,24 +207,69 @@ def row_major_lag(centered, t):
     return centered[: n - t].T @ centered[t:] / n
 
 
+def block_sum_lag(centered, t):
+    """Reference: the lag by the documented block rule."""
+    n, p = centered.shape
+    rows = block_rows(p)
+    if p == 1 or rows is None or n - t <= rows:
+        return one_product_lag(centered, t)
+    total = None
+    for a in range(0, n - t, rows):
+        b = min(a + rows, n - t)
+        block = centered[a:b].T @ centered[a + t:b + t]
+        total = block if total is None else total + block
+    return total / n
+
+
+def assert_close_to_one_product(actual, centered, t):
+    expected = one_product_lag(centered, t)
+    assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max(), f"lag {t}"
+
+
 @pytest.mark.parametrize("n, p, checked", [(2, 1, None), (7, 3, None), (1000, 5, None),
-                                           (20_000, 65, 8)])
+                                           (20_000, 65, 8), (400, 100, None)])
 def test_pairs_match_a_row_major_reference(n, p, checked, blas_threads):
     # every pair and partial sum (only the first `checked` at 2e4 x 65, to
-    # bound the test's time), and the last lags, bit for bit
+    # bound the test's time), and the last lags, bit for bit against the
+    # block-sum reference over the row-major centred values, and within
+    # 1e-12 relative of one product per lag; at 2e4 x 65 each lag spans
+    # many blocks, and 400 x 100 is one product by the 64-row floor
     rng = np.random.default_rng(n + p)
     values = rng.standard_normal((n, p)).cumsum(axis=0) * 0.1 + rng.uniform(-50, 50, p)
     chain = Chain(values)
     pairs = LagPairSequence(chain)
     centered = chain.values - chain.mean
-    gamma0 = symmetrize(row_major_lag(centered, 0))
+    gamma0 = symmetrize(block_sum_lag(centered, 0))
     assert pairs.gamma0.tobytes() == gamma0.tobytes()
+    assert_close_to_one_product(pairs.gamma0, centered, 0)
     partial = -gamma0
     for i in range(pairs.max_index + 1 if checked is None else checked):
-        pair = gamma0 if i == 0 else symmetrize(row_major_lag(centered, 2 * i))
-        pair = pair + symmetrize(row_major_lag(centered, 2 * i + 1))
+        pair = gamma0 if i == 0 else symmetrize(block_sum_lag(centered, 2 * i))
+        pair = pair + symmetrize(block_sum_lag(centered, 2 * i + 1))
         partial = partial + 2.0 * pair
         assert pairs.pair(i).tobytes() == pair.tobytes(), f"pair {i}"
         assert pairs.partial_sum(i).tobytes() == partial.tobytes(), f"partial sum {i}"
-    for t in {n // 2, n - 2, n - 1} - {0}:
-        assert autocov(chain, t).tobytes() == row_major_lag(centered, t).tobytes(), f"lag {t}"
+    for t in {1, 2, n // 2, n - 2, n - 1} & set(range(1, n)):
+        lag = autocov(chain, t)
+        assert lag.tobytes() == block_sum_lag(centered, t).tobytes(), f"lag {t}"
+        assert_close_to_one_product(lag, centered, t)
+
+
+def test_lags_at_block_boundaries(blas_threads):
+    # p = 12: blocks of 3640 rows, and n = 2 blocks + 5 rows
+    p = 12
+    rows = block_rows(p)
+    n = 2 * rows + 5
+    values = np.random.default_rng(26).standard_normal((n, p)).cumsum(axis=0)
+    chain = Chain(values)
+    centered = chain.values - chain.mean
+    cases = {0: "three blocks", 5: "exactly two blocks", rows + 4: "one block plus one row",
+             rows + 5: "exactly one block", rows + 6: "less than one block", n - 1: "t = n - 1"}
+    for t, case in cases.items():
+        lag = autocov(chain, t)
+        assert lag.tobytes() == block_sum_lag(centered, t).tobytes(), case
+        assert_close_to_one_product(lag, centered, t)
+        if n - t <= rows:
+            # a lag that fits in one block is the one product, bit for bit
+            assert lag.tobytes() == one_product_lag(centered, t).tobytes(), case
+    assert autocov(chain, 0).tobytes() == LagPairSequence(chain).gamma0.tobytes()
