@@ -19,7 +19,7 @@ from .diagnostics import Analysis, Region
 from .chain import _check_finite
 from .estimators import METHODS, NoPositiveDefinitePartialSum
 from .samplers import MODELS, SeedLike, build, replication_stream, truth_stream
-from .samplers.registry import Simulator, _check_keys, _json_object, _typed
+from .samplers.registry import _LIST, Simulator, _check_keys, _json_object, _typed
 from .symmat import NotPositiveDefiniteError
 
 REGION_KINDS = ("ellipsoid", "cube", "bonferroni")
@@ -58,7 +58,8 @@ class ExperimentConfig:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         for name, kind in (("n", Integral), ("replications", Integral),
-                           ("level", Real), ("master_seed", Integral)):
+                           ("level", Real), ("master_seed", Integral),
+                           ("methods", _LIST), ("regions", _LIST)):
             _typed(getattr(self, name), kind, f"config field {name!r}")
         if self.replications < 1:
             raise ValueError(f"need replications >= 1, got {self.replications}")

@@ -52,12 +52,14 @@ def _check_keys(mapping: dict, known, what: str) -> None:
         raise ValueError(f"unknown {what} key {unknown[0]!r}; expected from {list(known)}")
 
 
-_KIND_NAMES = {Integral: "an integer", Real: "a number"}
+# a JSON array, or a tuple from Python
+_LIST = (list, tuple)
+_KIND_NAMES = {Integral: "an integer", Real: "a number", _LIST: "a list"}
 
 
-def _typed(value, kind: type, name: str):
-    """``value``, which must be an instance of ``kind``, :class:`Integral` or
-    :class:`Real`; ``true`` and ``false`` count as neither."""
+def _typed(value, kind, name: str):
+    """``value``, which must be an instance of ``kind``, :class:`Integral`,
+    :class:`Real` or ``_LIST``; ``true`` and ``false`` count as no number."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
     return value

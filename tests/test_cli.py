@@ -346,6 +346,10 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
      {"model": "ar1", "model_params": {"kind": "hadamard", "p": 4}, "n": 100,
       "replications": 1, "truth": {"kind": "external", "vector": [0, float("nan"), 0, 0]}},
      "external truth must be finite, got nan"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "methods": "mis"}, "config field 'methods' must be a list, got str"),
+    (("experiment", "--config", "{json}", "--out", "{out}"),
+     {"model": "ar1", "regions": "cube"}, "config field 'regions' must be a list, got str"),
 ], ids=["unknown config key", "truth not an object", "params not an object",
         "unknown hyper key", "config value not a number", "hyper value not a number",
         "empty params object", "empty params list", "unknown ranef key", "ranef K a bool",
@@ -353,7 +357,8 @@ def test_experiment_bad_config_exit_code(tmp_path, capsys):
         "step_sd a bool", "step_sd NaN", "step_sd infinite", "ranef K negative",
         "ranef data_seed negative", "unknown model key in a config", "external truth without a vector",
         "unknown truth key", "n_truth a float", "master_seed negative",
-        "external truth of the wrong length", "external truth NaN"])
+        "external truth of the wrong length", "external truth NaN", "methods a string",
+        "regions a string"])
 def test_malformed_json_input_is_a_named_error(argv, payload, named, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))

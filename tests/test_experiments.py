@@ -62,7 +62,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value, what", [
         ("n", "1000", "an integer"), ("n", 1000.0, "an integer"), ("n", True, "an integer"),
         ("replications", None, "an integer"), ("level", "0.9", "a number"),
-        ("level", False, "a number"), ("master_seed", "1", "an integer")])
+        ("level", False, "a number"), ("master_seed", "1", "an integer"),
+        ("methods", "mis", "a list"), ("regions", "cube", "a list")])
     def test_non_numeric_field_is_named(self, field, value, what):
         with pytest.raises(ValueError, match=f"^config field '{field}' must be {what}, got "):
             scalar_config(**{field: value})
