@@ -9,11 +9,11 @@ from ._blas import single_threaded_blas
 from .chain import Chain
 from .symmat import eigenvalues_sym, symmetrize
 
-# A p-column lag product is summed over blocks of _LAG_BLOCK_CELLS // p**2
-# rows: OpenBLAS takes its small-matrix path for p**2 * rows up to about 1e6,
-# 2-3x faster per row than its regular GEMM.  Blocks of fewer than
-# _MIN_LAG_BLOCK_ROWS rows cost more per call than they save, so a chain that
-# wide has each lag as one product.
+# A lag product of p >= 2 columns is summed over blocks of
+# _LAG_BLOCK_CELLS // p**2 rows: OpenBLAS takes its small-matrix path for
+# p**2 * rows up to about 1e6, 2-3x faster per row than its regular GEMM.
+# A block of fewer than _MIN_LAG_BLOCK_ROWS rows costs more per call than it
+# saves, so where the rule gives one each lag is one product.
 _LAG_BLOCK_CELLS = 1 << 19
 _MIN_LAG_BLOCK_ROWS = 64
 

@@ -58,8 +58,8 @@ _KIND_NAMES = {Integral: "an integer", Real: "a number", _LIST: "a list"}
 
 
 def _typed(value, kind, name: str):
-    """``value``, which must be an instance of ``kind``, :class:`Integral`,
-    :class:`Real` or ``_LIST``; ``true`` and ``false`` count as no number."""
+    """``value``, which must be an instance of ``kind``: :class:`Integral`,
+    :class:`Real` or ``_LIST``; ``true`` and ``false`` are no number."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
     return value
