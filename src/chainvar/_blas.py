@@ -59,6 +59,29 @@ def _controls() -> tuple:
     return tuple(controls)
 
 
+def describe() -> list[dict]:
+    """The configuration and kernel core name of each OpenBLAS mapped now.
+
+    A DYNAMIC_ARCH build picks its kernels for the CPU it runs on (or for
+    ``OPENBLAS_CORETYPE``), and kernels for different cores round
+    differently, so these name what the last digits of a product depend
+    on.  The configuration string holds the version and the build options.
+    """
+    builds = []
+    for path in _loaded_paths():
+        lib = ctypes.CDLL(path)
+        for setter, _ in _SYMBOLS:
+            getters = [getattr(lib, setter.replace("set_num_threads", f"get_{what}"), None)
+                       for what in ("config", "corename")]
+            if all(getters):
+                for getter in getters:
+                    getter.argtypes, getter.restype = [], ctypes.c_char_p
+                config, core = (getter().decode() for getter in getters)
+                builds.append({"config": " ".join(config.split()), "corename": core})
+                break
+    return builds
+
+
 def pin_single_thread() -> None:
     """Set every OpenBLAS found to one thread for the rest of the process."""
     for setter, _ in _controls():

@@ -16,10 +16,15 @@ Usage, from the root of a checkout::
     PYTHONPATH=src python tests/golden/regenerate.py --seed 2 --compare DIR
         # print the diff of this tree's outputs against those in DIR
 
-The bytes read one BLAS build's rounding: the lag products, the
+The bytes read one build's rounding: the lag products, the
 eigendecompositions and the AR(1) map back from its modes round as the
-build's kernels do.  On another build the floats may differ in their last
-digits, which the diff shows field by field.
+OpenBLAS kernels chosen for the CPU do, and numpy's own loops as its SIMD
+targets do.  ``build.json`` names that build: numpy's version and SIMD
+targets, and the configuration and kernel core of numpy's OpenBLAS.  On
+the same build the test compares bytes.  On another, the floats may
+differ in their last digits, so it compares the discrete fields exactly
+and each float within ``TOLERANCE`` relative; the field diff is printed
+either way.
 """
 
 from __future__ import annotations
@@ -35,10 +40,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-from chainvar import ExperimentConfig, emit_tables, run_replications
+import numpy as np
+
+from chainvar import ExperimentConfig, _blas, emit_tables, run_replications
 from chainvar.cli import main as cli_main
 
 HERE = Path(__file__).resolve().parent
+BUILD = "build.json"
+# the largest relative change of a float field on a build other than
+# build.json's: OpenBLAS's Haswell, Zen and SandyBridge kernels, forced on
+# an AVX-512 Xeon, moved the floats by at most 8.4e-14
+TOLERANCE = 1e-12
 
 # (name, config, workers): lags of both chains span several row blocks
 HARNESS = (
@@ -65,6 +77,18 @@ NAMES = tuple(f"{name}.{fmt}" for name, _, _ in HARNESS for fmt in ("csv", "json
 
 # compared exactly, whatever their type
 DISCRETE = frozenset({"s_n", "t_n", "pd", "covered", "failed", "fail_count", "n_success"})
+
+
+def build() -> dict:
+    """What the bytes depend on besides the code and the inputs."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "numpy_simd": config.get("SIMD Extensions", {}).get("found"),
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            # numpy's OpenBLAS, not another (scipy's) mapped next to it
+            "openblas": [lib for lib in _blas.describe()
+                         if lib["config"].split()[1:2] == [blas.get("version")]]}
 
 
 def generate(seed: int = 1) -> dict[str, bytes]:
@@ -123,9 +147,11 @@ def _relative_change(old: float, new: float) -> float:
     return abs(new - old) / abs(old)
 
 
-def field_diff(name: str, old: bytes, new: bytes) -> list[str]:
+def field_diff(name: str, old: bytes, new: bytes, tolerance: float = 0.0) -> list[str]:
     """The lines that describe how ``new`` differs from ``old``, field by
-    field; empty when the bytes are equal."""
+    field; empty when the bytes are equal.  A float field whose largest
+    relative change is at most ``tolerance`` is left out, and with a
+    tolerance, bytes whose fields all agree within it give no line."""
     if old == new:
         return []
     before, after = dict(_leaves(_parse(name, old))), dict(_leaves(_parse(name, new)))
@@ -144,10 +170,10 @@ def field_diff(name: str, old: bytes, new: bytes) -> list[str]:
                 lines.append(f"{name}: {path} {was!r} -> {now!r}")
         else:
             largest[field] = max(largest.get(field, 0.0), _relative_change(was, now))
-    moved = {field: change for field, change in largest.items() if change}
+    moved = {field: change for field, change in largest.items() if change > tolerance}
     lines += [f"{name}: {field} largest relative change {change:.2g}"
               for field, change in sorted(moved.items())]
-    if not lines:
+    if not lines and not tolerance:
         lines.append(f"{name}: bytes differ, every field equal (formatting)")
     return lines
 
@@ -160,6 +186,9 @@ def main(argv=None) -> int:
     where.add_argument("--compare", type=Path, help="directory to diff against, unchanged")
     args = parser.parse_args(argv)
     base = args.compare or args.out
+    here = build()
+    if (base / BUILD).exists() and json.loads((base / BUILD).read_text()) != here:
+        print(f"{BUILD}: another build, {json.dumps(here)}")
     new = generate(args.seed)
     for name, data in new.items():
         old = base / name
@@ -168,6 +197,8 @@ def main(argv=None) -> int:
         if args.compare is None:
             args.out.mkdir(parents=True, exist_ok=True)
             old.write_bytes(data)
+    if args.compare is None:
+        (args.out / BUILD).write_text(json.dumps(here, indent=2) + "\n")
     return 0
 
 

@@ -81,6 +81,19 @@ class TestSingleThreadedBlas:
         _blas.pin_single_thread()
         assert _counts(two_threads) == [2] * len(two_threads)
 
+    def test_describe_names_each_build_and_its_core(self, two_threads, monkeypatch):
+        builds = _blas.describe()
+        assert len(builds) == len(two_threads)
+        assert all(b["config"].startswith("OpenBLAS ") and b["corename"] for b in builds)
+        # numpy 1.x wheels' ILP64 names, found as the thread controls are
+        lib = types.SimpleNamespace(
+            openblas_get_config64_=lambda: b"OpenBLAS 0.3.23  USE64BITINT DYNAMIC_ARCH Haswell",
+            openblas_get_corename64_=lambda: b"Haswell")
+        monkeypatch.setattr(_blas, "_loaded_paths", lambda: ["/lib/libopenblas64_p-r0.so"])
+        monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path: lib)
+        assert _blas.describe() == [{"config": "OpenBLAS 0.3.23 USE64BITINT DYNAMIC_ARCH Haswell",
+                                     "corename": "Haswell"}]
+
     def test_library_loaded_inside_a_block_keeps_its_count(self, monkeypatch):
         counts = {"numpy": 2, "scipy": 3, "late": 4}
 
