@@ -3,10 +3,12 @@ sums and truncated long-run covariance sums of :class:`LagPairSequence`."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from ._blas import single_threaded_blas
-from .chain import Chain
+from .chain import Chain, _StoredChain
 from .symmat import eigenvalues_sym, symmetrize
 
 # A lag product of p >= 2 columns is summed over blocks of
@@ -41,26 +43,48 @@ def _locked(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cross_lag(centered: np.ndarray, t: int) -> np.ndarray:
-    # (1/n) sum_{i=1}^{n-t} c_i c_{i+t}^T with divisor n, not n - t; the
-    # telescoping of the truncated sums below relies on this normalization.
-    n, p = centered.shape
-    if p == 1:
-        # one column is a dot product, whose threaded form splits the sum
-        # and so gives last digits that depend on the BLAS thread count
-        with single_threaded_blas():
-            return centered[: n - t].T @ centered[t:] / n
-    # the sum over consecutive row blocks [a, b), added in row order; a
-    # lag that fits in one block is the one product
-    m = n - t
+def _block_rows(n: int, p: int, t: int) -> int:
+    """The rows of each block product of the lag-t sum of an n-by-p chain."""
     rows = _LAG_BLOCK_CELLS // (p * p)
-    if not _MIN_LAG_BLOCK_ROWS <= rows < m:
-        rows = m
-    total = centered[:rows].T @ centered[t:t + rows]
-    for a in range(rows, m, rows):
-        b = min(a + rows, m)
-        total += centered[a:b].T @ centered[a + t:b + t]
-    return total / n
+    if p > 1 and _MIN_LAG_BLOCK_ROWS <= rows < n - t:
+        return rows
+    # one column is a dot product, whose threaded form splits the sum and so
+    # gives last digits that depend on the BLAS thread count; a lag that
+    # fits in one block is the one product
+    return n - t
+
+
+def _lag_sums(windows, n: int, p: int, lags) -> list[np.ndarray]:
+    """The lag-t autocovariance of each t in ``lags``, from windows of centered rows.
+
+    Each is (1/n) sum_{i=1}^{n-t} c_i c_{i+t}^T, with divisor n, not n - t;
+    the telescoping of the truncated sums below relies on this
+    normalization.  The sum is taken over consecutive row blocks [a, b) of
+    :func:`_block_rows` rows, added in row order.  ``windows`` yields
+    ``(s, e, w)`` in row order, where ``w`` holds the centered rows s to
+    min(e + max(lags), n) and s is a multiple of each lag's block rows; the
+    blocks that start in [s, e) are taken from ``w``.
+    """
+    totals: dict[int, np.ndarray] = {}
+    with single_threaded_blas() if p == 1 else nullcontext():
+        for s, e, w in windows:
+            for t in lags:
+                m = n - t
+                rows = _block_rows(n, p, t)
+                for a in range(s, min(e, m), rows):
+                    b = min(a + rows, m)
+                    block = w[a - s:b - s].T @ w[a - s + t:b - s + t]
+                    if t in totals:
+                        totals[t] += block
+                    else:
+                        totals[t] = block
+    return [totals[t] / n for t in lags]
+
+
+def _cross_lag(centered: np.ndarray, t: int) -> np.ndarray:
+    """The lag-t autocovariance of the centered rows of a chain held in memory."""
+    n, p = centered.shape
+    return _lag_sums(((0, n, centered),), n, p, (t,))[0]
 
 
 def autocov(chain: Chain, t: int) -> np.ndarray:
@@ -76,6 +100,20 @@ def autocov(chain: Chain, t: int) -> np.ndarray:
     return g0 if t == 0 else _cross_lag(centered, t)
 
 
+def _checked_mean(chain: Chain | _StoredChain) -> np.ndarray:
+    mean = chain.mean
+    if not np.isfinite(mean).all():
+        raise MomentOverflowError("mean", int(np.argmin(np.isfinite(mean))))
+    return mean
+
+
+def _check_variance(g0: np.ndarray) -> None:
+    if not np.isfinite(g0).all():
+        # by Cauchy-Schwarz a cross product overflows only where one of
+        # its two variances does, so the diagonal names the column
+        raise MomentOverflowError("variance", int(np.argmin(np.isfinite(np.diagonal(g0)))))
+
+
 def _lag0(chain: Chain, in_place: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mean, the centered values and the symmetrized lag-0 autocovariance.
 
@@ -85,9 +123,7 @@ def _lag0(chain: Chain, in_place: bool = False) -> tuple[np.ndarray, np.ndarray,
     buffer, with the same bits, and locks it again; its mean is cached first.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = chain.mean
-        if not np.isfinite(mean).all():
-            raise MomentOverflowError("mean", int(np.argmin(np.isfinite(mean))))
+        mean = _checked_mean(chain)
         if in_place:
             centered = chain.values
             centered.setflags(write=True)
@@ -96,11 +132,19 @@ def _lag0(chain: Chain, in_place: bool = False) -> tuple[np.ndarray, np.ndarray,
         else:
             centered = chain.values - mean
         g0 = symmetrize(_cross_lag(centered, 0))
-    if not np.isfinite(g0).all():
-        # by Cauchy-Schwarz a cross product overflows only where one of
-        # its two variances does, so the diagonal names the column
-        raise MomentOverflowError("variance", int(np.argmin(np.isfinite(np.diagonal(g0)))))
+    _check_variance(g0)
     return mean, centered, g0
+
+
+def _constant_columns(windows, columns) -> tuple[int, ...]:
+    """Those of ``columns`` whose centered values in ``windows`` all coincide."""
+    lo = np.full(len(columns), np.inf)
+    hi = -lo
+    for _, _, w in windows:
+        for k, j in enumerate(columns):
+            lo[k] = min(lo[k], w[:, j].min())
+            hi[k] = max(hi[k], w[:, j].max())
+    return tuple(int(j) for j, a, b in zip(columns, lo, hi) if a == b)
 
 
 class LagPairSequence:
@@ -121,16 +165,31 @@ class LagPairSequence:
     All matrices returned are exactly symmetric.  Their eigenvalues are
     computed at most once each, on request.  Materialization is not
     thread-safe; confine one instance to one thread.
+
+    The chain is a :class:`Chain`, or a stored chain read in passes of row
+    blocks, whose lags have the same bits.  A pass over a stored chain
+    computes the lags of two pairs, and its first pass lag 1 with gamma0;
+    where a lag is one product, the stored chain is read whole.
     """
 
     # whether construction centers the chain's own buffer (see _adopt)
     _in_place = False
 
-    def __init__(self, chain: Chain) -> None:
+    def __init__(self, chain: Chain | _StoredChain) -> None:
         self.n = chain.n
         self.p = chain.p
         self.max_index = chain.n // 2 - 1  # largest pair index, floor(n/2 - 1)
-        mean, self._centered, g0 = _lag0(chain, self._in_place)
+        self._lags: dict[int, np.ndarray] = {}
+        if isinstance(chain, Chain):
+            self._stored = None
+            mean, self._centered, g0 = _lag0(chain, self._in_place)
+        else:
+            self._stored, self._centered = chain, None
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = _checked_mean(chain)
+                self._compute(range(min(2, self.n)))
+                g0 = symmetrize(self._lags.pop(0))
+            _check_variance(g0)
         self._gamma0 = _locked(g0)
         # A constant column's centered value is the rounding error of its
         # mean, within n * eps * |mean| (the sequential-summation bound;
@@ -139,13 +198,27 @@ class LagPairSequence:
         # with the standard deviation, since its square may overflow.
         bound = 2.0 * self.n * np.finfo(np.float64).eps * np.abs(mean)
         suspects = np.flatnonzero(np.sqrt(np.diagonal(g0)) <= bound)
-        self.constant_columns = tuple(
-            int(j) for j in suspects if np.ptp(self._centered[:, j]) == 0.0
-        )
+        self.constant_columns = (_constant_columns(self._windows(), suspects)
+                                 if suspects.size else ())
         self._pairs: list[np.ndarray] = []
         self._partials: list[np.ndarray] = []
         self._gamma0_w: np.ndarray | None = None
         self._partial_w: dict[int, np.ndarray] = {}
+
+    def _windows(self, carry: int = 0):
+        if self._centered is not None:
+            return ((0, self.n, self._centered),)
+        return self._stored._windows(_LAG_BLOCK_CELLS // (self.p * self.p), carry, center=True)
+
+    def _compute(self, lags) -> None:
+        """Compute ``lags``, in one pass over a stored chain's rows."""
+        n, p = self.n, self.p
+        if self._centered is None and any(_block_rows(n, p, t) == n - t for t in lags):
+            self._centered = self._stored._centered_values()
+        if self._centered is not None:
+            self._lags.update((t, _cross_lag(self._centered, t)) for t in lags)
+        else:
+            self._lags.update(zip(lags, _lag_sums(self._windows(max(lags)), n, p, lags)))
 
     @classmethod
     def _adopt(cls, chain: Chain) -> "LagPairSequence":
@@ -182,7 +255,10 @@ class LagPairSequence:
     def _sym_lag(self, t: int) -> np.ndarray:
         if t == 0:
             return self._gamma0
-        return symmetrize(_cross_lag(self._centered, t))
+        if t not in self._lags:
+            # a pass over a stored chain computes the lags of two pairs
+            self._compute(range(t, min(t + (1 if self._centered is not None else 4), self.n)))
+        return symmetrize(self._lags.pop(t))
 
     def pair(self, i: int) -> np.ndarray:
         """Pair sum i: symmetrized lag-(2i) plus lag-(2i+1), 0 <= i <= max_index."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,10 @@ _VALUE_DTYPE = np.dtype("<f8")
 _HEADER_BYTES = 16
 # cells per block of the finite check
 _FINITE_BLOCK = 1 << 18
+# bytes of rows read from a stored chain, or written by `simulate`, at a
+# time, and bytes of the columns one pass gathers for their univariate scans
+_PASS_BYTES = 1 << 20
+_COLUMN_PASS_BYTES = 1 << 24
 
 FORMATS = ("csv", "bin")
 
@@ -47,6 +52,15 @@ def _check_finite(arr: np.ndarray, at=lambda i: f"row {i}") -> None:
             raise NonFiniteValueError(
                 f"non-finite value {float(arr[i, j])} at {at(int(i))}, column c{int(j) + 1}"
             )
+
+
+def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """``total`` (None before the first block) plus the rows of ``block``,
+    added one after another in row order, as :attr:`Chain.mean` adds the
+    rows of a chain of p >= 2 columns; ``block``'s first row is overwritten."""
+    if total is not None:
+        block[0] += total
+    return np.add.reduce(block, axis=0)
 
 
 class Chain:
@@ -124,6 +138,11 @@ class Chain:
             raise IndexError(f"column {j} out of range for p={self.p}")
         return Chain(self._values[:, j])
 
+    def _columns(self):
+        """Yield each column j with a contiguous (n, 1) copy of its values."""
+        for j in range(self.p):
+            yield j, self._values[:, j:j + 1].copy()
+
     def __repr__(self) -> str:
         return f"Chain(n={self.n}, p={self.p})"
 
@@ -137,16 +156,66 @@ def save_chain(chain: Chain, path, format: str = "bin") -> None:
     one row of values per iteration, printed with 17 significant digits
     so that reloading reproduces every double exactly.
     """
+    with _open_for_write(Path(path), format, "w") as fh:
+        _write_header(fh, chain.n, chain.p, format)
+        _write_rows(fh, chain.values, format)
+
+
+def _save_blocks(blocks, n: int, p: int, path, format: str) -> None:
+    """Write the n rows of a chain, given as consecutive blocks of p
+    columns, as :func:`save_chain` writes the chain.
+
+    Each block is checked for finite values before it is written, and no
+    block is held after it is written.  The rows go to a new file beside
+    ``path``, renamed to ``path`` once complete, so a run that fails
+    leaves nothing there.
+    """
     path = Path(path)
+    part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
+    try:
+        with _open_for_write(part, format, "x") as fh:
+            _write_header(fh, n, p, format)
+            first = 0
+            for block in blocks:
+                _check_finite(block, at=lambda i: f"row {first + i}")
+                _write_rows(fh, block, format)
+                first += block.shape[0]
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _open_for_write(path: Path, format: str, mode: str):
     if format == "bin":
-        # the payload goes out from the array's own buffer, never a copy of it
-        with path.open("wb") as fh:
-            fh.write(np.array([chain.n, chain.p], dtype=_HEADER_DTYPE).tobytes())
-            fh.write(np.ascontiguousarray(chain.values, dtype=_VALUE_DTYPE).data)
-    elif format == "csv":
-        _save_csv(chain.values, path)
+        return open(path, mode + "b")
+    if format == "csv":
+        return open(path, mode, encoding="ascii")
+    raise ValueError(f"unknown chain format {format!r}; expected one of {FORMATS}")
+
+
+def _write_header(fh, n: int, p: int, format: str) -> None:
+    if format == "bin":
+        fh.write(np.array([n, p], dtype=_HEADER_DTYPE).tobytes())
     else:
-        raise ValueError(f"unknown chain format {format!r}; expected one of {FORMATS}")
+        fh.write(",".join(f"c{j + 1}" for j in range(p)) + "\n")
+
+
+def _write_rows(fh, values: np.ndarray, format: str) -> None:
+    if format == "bin":
+        # the rows go out from the array's own buffer, never a copy of it
+        fh.write(np.ascontiguousarray(values, dtype=_VALUE_DTYPE).data)
+        return
+    # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, with each run
+    # of repeated rows (rejected Metropolis proposals) formatted once; rows
+    # are compared by bit pattern, so 0.0 and -0.0 stay apart.  A row is
+    # printed alone, so rows written in blocks give the same bytes.
+    bits = values.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1))))
+    lengths = np.diff(starts, append=len(values))
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    for first, length in zip(values[starts].tolist(), lengths.tolist()):
+        fh.write(row % tuple(first) * length)
 
 
 def load_chain(path, format: str = "bin") -> Chain:
@@ -168,50 +237,141 @@ def load_chain(path, format: str = "bin") -> Chain:
     raise ValueError(f"unknown chain format {format!r}; expected one of {FORMATS}")
 
 
-def _load_bin(path: Path) -> Chain:
+def _read_header(fh, path: Path) -> tuple[int, int, os.stat_result]:
     # the header is checked against the file's size before the payload is
-    # read, so a truncated or oversize file fails without a read of it;
-    # unbuffered, the payload is read straight into the chain's own array,
-    # which stays writable underneath for an analysis that owns the chain
-    with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_HEADER_BYTES)
-        if len(header) < _HEADER_BYTES:
-            raise ChainFormatError(f"{path}: file shorter than the 16-byte header")
-        n, p = (int(v) for v in np.frombuffer(header, dtype=_HEADER_DTYPE))
-        expected = _HEADER_BYTES + 8 * n * p
-        if size != expected:
-            raise ChainFormatError(
-                f"{path}: header declares n={n}, p={p} ({expected} bytes), "
-                f"file has {size} bytes"
-            )
-        if n < 1 or p < 1:
-            raise ChainFormatError(f"{path}: header declares empty shape n={n}, p={p}")
-        values = np.empty((n, p), dtype=_VALUE_DTYPE)
-        payload = memoryview(values).cast("B")
-        got = 0
-        while got < len(payload):
-            read = fh.readinto(payload[got:])
-            if not read:
-                break
-            got += read
-        if got < len(payload) or fh.read(1):
+    # read, so a truncated or oversize file fails without a read of it
+    stat = os.fstat(fh.fileno())
+    header = fh.read(_HEADER_BYTES)
+    if len(header) < _HEADER_BYTES:
+        raise ChainFormatError(f"{path}: file shorter than the 16-byte header")
+    n, p = (int(v) for v in np.frombuffer(header, dtype=_HEADER_DTYPE))
+    expected = _HEADER_BYTES + 8 * n * p
+    if stat.st_size != expected:
+        raise ChainFormatError(
+            f"{path}: header declares n={n}, p={p} ({expected} bytes), "
+            f"file has {stat.st_size} bytes"
+        )
+    if n < 1 or p < 1:
+        raise ChainFormatError(f"{path}: header declares empty shape n={n}, p={p}")
+    return n, p, stat
+
+
+def _read_rows(fh, rows: np.ndarray, path: Path) -> None:
+    # unbuffered, the rows are read straight into the array
+    payload = memoryview(rows).cast("B")
+    got = 0
+    while got < len(payload):
+        read = fh.readinto(payload[got:])
+        if not read:
             raise ChainFormatError(f"{path}: file changed size while it was read")
+        got += read
+
+
+def _read_payload(fh, n: int, p: int, path: Path) -> Chain:
+    # the chain's own array stays writable underneath, for an analysis that
+    # owns the chain
+    values = np.empty((n, p), dtype=_VALUE_DTYPE)
+    _read_rows(fh, values, path)
+    if fh.read(1):
+        raise ChainFormatError(f"{path}: file changed size while it was read")
     return Chain._adopt(values)
 
 
-def _save_csv(values: np.ndarray, path: Path) -> None:
-    # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, with each run
-    # of repeated rows (rejected Metropolis proposals) formatted once; rows
-    # are compared by bit pattern, so 0.0 and -0.0 stay apart
-    bits = values.view(np.uint64)
-    starts = np.flatnonzero(np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1))))
-    lengths = np.diff(starts, append=len(values))
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(f"c{j + 1}" for j in range(values.shape[1])) + "\n")
-        for first, length in zip(values[starts].tolist(), lengths.tolist()):
-            fh.write(row % tuple(first) * length)
+def _load_bin(path: Path) -> Chain:
+    with open(path, "rb", buffering=0) as fh:
+        n, p, _ = _read_header(fh, path)
+        return _read_payload(fh, n, p, path)
+
+
+@contextmanager
+def _open_bin(path):
+    """The chain of a bin file, for one analysis: a :class:`_StoredChain`,
+    or a :class:`Chain` read whole where there is one column, whose mean is
+    summed pairwise and its lags each one product."""
+    path = Path(path)
+    with open(path, "rb", buffering=0) as fh:
+        n, p, stat = _read_header(fh, path)
+        yield _read_payload(fh, n, p, path) if p == 1 else _StoredChain(fh, path, n, p, stat)
+
+
+class _StoredChain:
+    """A bin chain of p >= 2 columns, read in passes of row blocks from one
+    open file, so that a pass holds a block of rows, not the chain.
+
+    The first pass, at construction, checks that every value is finite,
+    naming the first bad row by its index in the chain, and computes
+    ``mean`` with the bits of :attr:`Chain.mean` (:func:`_add_rows`).
+    Each pass checks that the file's size and modification time are those
+    it had when opened, so a file that changes between passes raises
+    :class:`ChainFormatError`, never a number of another file.
+    """
+
+    def __init__(self, fh, path: Path, n: int, p: int, stat: os.stat_result) -> None:
+        self._fh, self._path, self.n, self.p = fh, path, n, p
+        self._stat = (stat.st_size, stat.st_mtime_ns)
+        total = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, _, block in self._windows():
+                _check_finite(block, at=lambda i: f"row {first + i}")
+                total = _add_rows(total, block)
+            self.mean = total / n
+        self.mean.setflags(write=False)
+
+    def _check(self) -> None:
+        stat = os.fstat(self._fh.fileno())
+        if (stat.st_size, stat.st_mtime_ns) != self._stat:
+            raise ChainFormatError(f"{self._path}: file changed while it was analysed")
+
+    def _windows(self, rows: int = 1, carry: int = 0, center: bool = False):
+        """One pass over the rows: yield ``(s, e, w)`` for consecutive [s, e)
+        covering the chain, where ``w`` holds rows s to min(e + carry, n).
+
+        Each e - s but the last is a multiple of ``rows``, of about
+        ``_PASS_BYTES``; ``center`` subtracts ``mean`` from each row as it is
+        read.  Every ``w`` is a view of one buffer, reused for the next
+        window once the caller asks for it, and the last ``carry`` rows of
+        one window are carried over to the next, not read again.
+        """
+        n, p = self.n, self.p
+        step = min(n, rows * max(1, _PASS_BYTES // (8 * p * rows)))
+        buf = np.empty((min(n, step + carry), p), dtype=_VALUE_DTYPE)
+        self._check()
+        self._fh.seek(_HEADER_BYTES)
+        s = kept = 0
+        while s < n:
+            e = min(s + step, n)
+            end = min(e + carry, n) - s
+            fresh = buf[kept:end]
+            if fresh.size:
+                _read_rows(self._fh, fresh, self._path)
+                if center:
+                    np.subtract(fresh, self.mean, out=fresh)
+            yield s, e, buf[:end]
+            kept = end - (e - s)
+            buf[:kept] = buf[e - s:end]
+            s = e
+        self._check()
+
+    def _centered_values(self) -> np.ndarray:
+        """The whole chain, centered."""
+        (_, _, values), = self._windows(self.n, center=True)
+        return values
+
+    def _columns(self):
+        """Yield each column j with a contiguous (n, 1) array of its values.
+
+        A pass gathers as many columns as ``_COLUMN_PASS_BYTES`` holds, at
+        least one, into arrays reused by the next pass.
+        """
+        n, p = self.n, self.p
+        k = max(1, min(p, _COLUMN_PASS_BYTES // (8 * n)))
+        columns = [np.empty((n, 1), dtype=_VALUE_DTYPE) for _ in range(k)]
+        for first in range(0, p, k):
+            gathered = list(zip(range(first, min(first + k, p)), columns))
+            for s, e, w in self._windows():
+                for j, x in gathered:
+                    x[s:e, 0] = w[:, j]
+            yield from gathered
 
 
 def _data_runs(fh, lengths: list[int], blank: list[int], comment: list[int]):

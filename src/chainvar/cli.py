@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .chain import FORMATS, load_chain, save_chain
+from .chain import _PASS_BYTES, FORMATS, Chain, _open_bin, _save_blocks, load_chain
 from .diagnostics import Analysis
 from .estimators import METHODS, NoPositiveDefinitePartialSum, UvEstimate
 from .experiments import ExperimentConfig, emit_tables, run_replications
@@ -41,10 +41,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with open(args.params) as fh:
             params = json.load(fh)
     simulate, _ = build(args.model, params)
-    chain, sampler_stats = simulate(args.n, args.seed)
-    for name, value in sampler_stats.items():
+    blocks = simulate.blocks(args.n, args.seed, max(1, _PASS_BYTES // (8 * simulate.p)))
+    # the sampler checks its arguments before the file is opened
+    block, stats = next(blocks)
+
+    def rows():
+        nonlocal stats
+        yield block
+        for more, stats in blocks:
+            yield more
+
+    _save_blocks(rows(), args.n, simulate.p, args.out, args.format)
+    for name, value in stats.items():
         print(f"{name}: {value:.4f}", file=sys.stderr)
-    save_chain(chain, args.out, args.format)
     return 0
 
 
@@ -89,9 +98,15 @@ def _region_view(analysis: Analysis, args: argparse.Namespace) -> dict:
 
 
 def _cmd_analysis(args: argparse.Namespace) -> int:
-    # the loaded chain is the analysis's alone, so it is centered in place
-    analysis = Analysis._adopt(load_chain(args.input, args.format))
-    _write_json(args.view(analysis, args), args.output)
+    # a chain held in memory is the analysis's alone, so it is centered in
+    # place; a bin chain of several columns is read in passes of row blocks
+    if args.format == "csv":
+        payload = args.view(Analysis._adopt(load_chain(args.input, "csv")), args)
+    else:
+        with _open_bin(args.input) as chain:
+            analysis = Analysis._adopt(chain) if isinstance(chain, Chain) else Analysis(chain)
+            payload = args.view(analysis, args)
+    _write_json(payload, args.output)
     return 0
 
 

@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .autocov import LagPairSequence, MomentOverflowError, autocov
-from .chain import Chain
+from .chain import Chain, _StoredChain
 from .estimators import MULTIVARIATE, MvEstimate, UvEstimate, uis_components
 from .symmat import (
     NotPositiveDefiniteError,
@@ -282,9 +282,12 @@ class Analysis:
     smallest component-wise ESS and the cubes; any other method is a
     p-by-p estimate on the one shared :class:`LagPairSequence`, which
     gives the determinant ESS and the ellipsoid.  Each is computed once.
+
+    The chain is a :class:`Chain` or a stored bin chain, which the
+    sequence and the ``uis`` scans read in passes of row blocks.
     """
 
-    def __init__(self, chain: Chain) -> None:
+    def __init__(self, chain: Chain | _StoredChain) -> None:
         self.chain = chain
         self._estimates: dict[str, MvEstimate] = {}
         # whether the analysis owns its chain, and whether it may have

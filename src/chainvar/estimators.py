@@ -29,7 +29,7 @@ import numpy as np
 
 from ._blas import single_threaded_blas
 from .autocov import LagPairSequence, MomentOverflowError
-from .chain import Chain
+from .chain import Chain, _StoredChain
 from .symmat import (
     eigen_sym,
     eigenvalues_sym,
@@ -229,9 +229,9 @@ def _uis_scan(centered: np.ndarray, column: int) -> UvEstimate:
     return UvEstimate(partial, t_n)
 
 
-def _centered_column(values: np.ndarray, column: int) -> np.ndarray:
-    """A contiguous copy of one column, centered as its one-column chain is."""
-    x = values[:, column: column + 1].copy()
+def _centered_column(x: np.ndarray, column: int) -> np.ndarray:
+    """A contiguous (n, 1) copy of one column, centered in place as its
+    one-column chain is, and raveled."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
         if not np.isfinite(mean[0]):
@@ -250,18 +250,19 @@ def uis(chain: ChainOrPairs) -> UvEstimate:
         raise ValueError(f"uis requires a univariate chain, got p={chain.p}")
     if isinstance(chain, LagPairSequence):
         return _uis_scan(chain._centered[:, 0], 0)
-    return _uis_scan(_centered_column(chain.values, 0), 0)
+    return uis_components(chain)[0]
 
 
-def uis_components(chain: Chain) -> list[UvEstimate]:
+def uis_components(chain: Chain | _StoredChain) -> list[UvEstimate]:
     """:func:`uis` applied to each coordinate of a chain in turn.
 
     Each coordinate gets its own scan and stops at its own ``t_n``; only
     lag products of that one column are computed, never p-by-p lags.  A
     coordinate whose moments overflow raises :class:`MomentOverflowError`
-    naming its column of ``chain``.
+    naming its column of ``chain``.  A stored chain's columns are gathered
+    a few at a time, each into a reused array.
     """
-    return [_uis_scan(_centered_column(chain.values, j), j) for j in range(chain.p)]
+    return [_uis_scan(_centered_column(x, j), j) for j, x in chain._columns()]
 
 
 # Estimators of the full p-by-p long-run covariance, by method name.

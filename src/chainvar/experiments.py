@@ -16,7 +16,7 @@ import numpy as np
 
 from ._blas import pin_single_thread, single_threaded_blas
 from .diagnostics import Analysis, Region
-from .chain import _check_finite
+from .chain import _add_rows, _check_finite
 from .estimators import METHODS, NoPositiveDefinitePartialSum
 from .samplers import MODELS, SeedLike, build, replication_stream, truth_stream
 from .samplers.registry import _LIST, Simulator, _check_keys, _json_object, _typed
@@ -169,9 +169,8 @@ def _long_run_truth(simulate: Simulator, n_truth: int,
     """The mean of a long run and its batch-means standard errors, read
     block by block, so that memory is bounded by a block, not by the run.
 
-    The mean is the one :attr:`Chain.mean` gives, bit for bit when p >= 2:
-    the running sum is added into each block's first row and the block is
-    then summed over rows, in row order.  The run is cut into a = n // b
+    The mean is the one :attr:`Chain.mean` gives, bit for bit when p >= 2
+    (:func:`chain._add_rows`).  The run is cut into a = n // b
     batches of b = isqrt(n) rows (Flegal & Jones 2010), rows past a*b left
     out, and the batch means give the variance of component j as
     b/(a-1) * sum_k (batch mean kj - their mean j)^2.
@@ -190,9 +189,7 @@ def _long_run_truth(simulate: Simulator, n_truth: int,
             starts = np.arange(b - first % b, batched.shape[0], b)
             sums = np.add.reduceat(batched, np.concatenate(([0], starts)), axis=0)
             batch_sums[first // b:first // b + sums.shape[0]] += sums
-        if total is not None:
-            block[0] += total  # the block is ours until the next one is drawn
-        total = np.add.reduce(block, axis=0)
+        total = _add_rows(total, block)  # the block is ours until the next one is drawn
         first += block.shape[0]
     del block  # the sampler's buffer
     deviations = np.divide(batch_sums, b, out=batch_sums)

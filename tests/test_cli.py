@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chainvar import chain as chain_module
 from chainvar import (
     Chain,
     ExperimentConfig,
@@ -486,15 +487,26 @@ _ONE_COPY = [("estimate", "--method", "mis"), ("ess", "--method", "uis"),
              ("region", "--kind", "bonf", "--method", "uis")]
 
 
-def test_analyst_commands_hold_a_bin_chain_once(tmp_path, capsys):
+def test_analyst_commands_hold_a_bin_chain_once(tmp_path, capsys, monkeypatch):
     # numpy reports its buffers to tracemalloc, so the traced peak counts
-    # every copy of the chain; the analysis centers the loaded one in place
-    chain = Chain(np.random.default_rng(5).standard_normal((200_000, 12)))
-    path = tmp_path / "c.bin"
-    save_chain(chain, path, "bin")
-    for argv in _ONE_COPY:
-        peak = _traced_peak((*argv, "--input", str(path)))
-        assert peak <= 1.25 * chain.values.nbytes, argv
+    # every array.  A bin chain is read in passes of row blocks of about
+    # _PASS_BYTES, and its uis scans gather a budget of columns at a time;
+    # a budget of 2 columns here, against the 12 columns of the chain
+    monkeypatch.setattr(chain_module, "_COLUMN_PASS_BYTES", 2 * 8 * 200_000)
+    block = chain_module._PASS_BYTES
+    peaks = {}
+    for n in (20_000, 200_000):
+        path = tmp_path / f"c{n}.bin"
+        save_chain(Chain(np.random.default_rng(5).standard_normal((n, 12))), path, "bin")
+        peaks[n] = {argv: _traced_peak((*argv, "--input", str(path))) for argv in _ONE_COPY}
+        # and simulate writes its file a block at a time
+        peaks[n]["simulate"] = _traced_peak(("simulate", "--model", "ar1", "--n", str(n),
+                                             "--seed", "1", "--out", str(path)))
+    for argv in (_ONE_COPY[0], "simulate"):
+        assert abs(peaks[200_000][argv] - peaks[20_000][argv]) <= 2 * block, argv
+    assert peaks[200_000][_ONE_COPY[0]] <= 4 * block
+    for argv in _ONE_COPY[1:]:
+        assert peaks[200_000][argv] <= chain_module._COLUMN_PASS_BYTES + 4 * block, argv
     capsys.readouterr()
 
 
