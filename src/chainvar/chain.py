@@ -55,12 +55,20 @@ def _check_finite(arr: np.ndarray, at=lambda i: f"row {i}") -> None:
 
 
 def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
-    """``total`` (None before the first block) plus the rows of ``block``,
-    added one after another in row order, as :attr:`Chain.mean` adds the
-    rows of a chain of p >= 2 columns; ``block``'s first row is overwritten."""
+    """``total`` (None before the first block) plus the rows of the
+    C-ordered ``block``, whose first row is overwritten.
+
+    For p >= 2 the rows are added one after another in row order, as
+    ``np.add.reduce(block, axis=0)`` adds them, with its bits, by
+    ``np.einsum``: about 4x faster for p <= 12 and 1.5x at p = 65.  A single
+    column is summed pairwise, as ``np.add.reduce`` sums it; einsum's bits
+    differ there.
+    """
     if total is not None:
         block[0] += total
-    return np.add.reduce(block, axis=0)
+    if block.shape[1] == 1:
+        return np.add.reduce(block, axis=0)
+    return np.einsum("ij->j", block)
 
 
 class Chain:
@@ -122,12 +130,13 @@ class Chain:
     def mean(self) -> np.ndarray:
         """Row mean, computed once and cached.
 
-        For p >= 2 numpy adds the rows one after another, in row order (the
-        streamed long-run truth relies on this); a single column is summed
-        pairwise.
+        The bits of ``values.mean(axis=0)``: for p >= 2 the rows are added
+        one after another, in row order (:func:`_add_rows`, which the stored
+        chains and the streamed long-run truth share); a single column is
+        summed pairwise.
         """
         if self._mean is None:
-            m = self._values.mean(axis=0)
+            m = _add_rows(None, self._values) / self.n
             m.setflags(write=False)
             self._mean = m
         return self._mean

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -169,11 +170,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError, KeyError, NoPositiveDefinitePartialSum) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a warning is printed as one line, as an error is, not as Python's
+    # warning text, which names the source line that called the library
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = args.func(args), None
+        except (ValueError, OSError, KeyError, NoPositiveDefinitePartialSum) as exc:
+            code, error = 2, exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

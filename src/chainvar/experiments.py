@@ -330,6 +330,10 @@ def _task_runner(workers: int):
         return
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
+    # every task draws, so numpy.random is loaded before the pool forks and
+    # each worker inherits it instead of importing it again
+    import numpy.random  # noqa: F401
+
     # forked workers inherit one thread; the initializer covers start
     # methods that import numpy afresh
     pool = ProcessPoolExecutor(max_workers=workers, initializer=pin_single_thread)

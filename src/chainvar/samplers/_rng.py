@@ -20,7 +20,10 @@ from typing import Union
 
 import numpy as np
 
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+# numpy.random's types by name: numpy loads numpy.random (and with it
+# secrets, hmac and _hashlib) on first use, so a process that draws nothing
+# never loads it
+SeedLike = Union[int, "np.random.SeedSequence", "np.random.Generator"]
 
 
 def as_generator(seed: SeedLike) -> np.random.Generator:

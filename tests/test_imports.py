@@ -33,8 +33,8 @@ def _run(code: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def _loaded(code: str, *args: str) -> set[str]:
-    return set(_run(code + _REPORT, *args).stdout.splitlines()[-1].split())
+def _loaded(code: str, *args: str, report: str = _REPORT) -> set[str]:
+    return set(_run(code + report, *args).stdout.splitlines()[-1].split())
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,29 @@ for command in ("estimate", "ess"):
 def test_estimate_and_ess_load_no_scipy(stored_chains, tmp_path, fmt):
     paths = str(stored_chains[fmt]), str(stored_chains[fmt, "column"])
     assert _loaded(_ESTIMATE_AND_ESS, *paths, fmt, str(tmp_path / "out.json")) == set()
+
+
+# numpy.random, and the modules it loads with it; a process that draws
+# nothing loads none of them beyond what `import numpy` loads
+_RANDOM_MODULES = """
+import sys
+print(" ".join(m for m in ("numpy.random", "secrets", "hmac", "_hashlib") if m in sys.modules))
+"""
+
+_ANALYSIS = """
+import sys
+import chainvar.cli
+from chainvar import Ar1Params, ar1_truth
+ar1_truth(Ar1Params.hadamard_fixture(12))
+assert chainvar.cli.main(["estimate", "--method", "mis", "--input", sys.argv[1],
+                          "--output", sys.argv[2]]) == 0
+"""
+
+
+def test_an_analysis_loads_no_random_module(stored_chains, tmp_path):
+    paths = str(stored_chains["bin"]), str(tmp_path / "out.json")
+    assert _loaded(_ANALYSIS, *paths, report=_RANDOM_MODULES) == \
+        _loaded("import numpy", report=_RANDOM_MODULES)
 
 
 _AR1_EXPERIMENT = """

@@ -9,7 +9,7 @@ import pytest
 
 from chainvar import Chain, LagPairSequence, cli, load_chain, mis, save_chain
 from chainvar import chain as chain_module
-from chainvar.autocov import _LAG_BLOCK_CELLS
+from chainvar.autocov import _LAG_BLOCK_CELLS, _pass_lags
 from chainvar.chain import ChainFormatError, _open_bin
 from chainvar.estimators import NoPositiveDefinitePartialSum
 
@@ -150,16 +150,23 @@ def test_a_constant_column_fails_before_any_pair_pass(tmp_path, monkeypatch):
     assert len(passes) == 3 and not pairs._pairs
 
 
-def test_a_pass_computes_the_lags_of_two_pairs(tmp_path, monkeypatch):
+@pytest.mark.parametrize("p, first, each", [(4, 6, 12), (12, 4, 8), (65, 2, 4)])
+def test_passes_compute_the_lags_their_width_gives(p, first, each, tmp_path, monkeypatch):
+    # a pass after the first computes `each` lags, and the first gamma0 and
+    # the lags below `first`; each pass carries as many rows as its last lag
+    assert _pass_lags(p) == each and first == each // 2
     path = tmp_path / "c.bin"
-    save_chain(Chain(_ma_chain(3 * _block(12), 12, seed=5)), path)
+    save_chain(Chain(_ma_chain(3 * _block(p), p, seed=5)), path)
     passes = _counting_passes(monkeypatch)
     with _open_bin(path) as chain:
         pairs = LagPairSequence(chain)
-        for i in range(5):
+        # the mean, then the first lags
+        assert [carry for _, carry, *_ in passes[1:]] == [first - 1]
+        pairs.pair(first // 2 - 1)
+        assert len(passes) == 2
+        for i in range(first // 2 + each):
             pairs.pair(i)
-    # the mean, lags 0-1, lags 2-5 and lags 6-9
-    assert len(passes) == 4
+    assert [carry for _, carry, *_ in passes[2:]] == [first + each - 1, first + 2 * each - 1]
 
 
 def test_stored_pairs_match_loaded_pairs_at_every_index(tmp_path, monkeypatch):
@@ -197,7 +204,8 @@ def test_a_file_changed_between_passes_is_a_format_error(change, tmp_path):
         else:
             _rewrite(path, values[::-1].copy())
         with pytest.raises(ChainFormatError, match="file changed while it was analysed"):
-            pairs.pair(1)
+            # the first pair that the first lag pass leaves to a later one
+            pairs.pair(_pass_lags(12) // 4)
 
 
 def test_simulate_writes_in_blocks_the_bytes_of_the_whole_chain(tmp_path, monkeypatch, capsys):
