@@ -16,9 +16,9 @@ _HEADER_BYTES = 16
 # cells per block of the finite check
 _FINITE_BLOCK = 1 << 18
 # bytes of rows read from a stored chain, or written by `simulate`, at a
-# time, and bytes of the columns one pass gathers for their univariate scans
+# time; a pass of the univariate scans gathers as many columns as fit in it,
+# and at least one
 _PASS_BYTES = 1 << 20
-_COLUMN_PASS_BYTES = 1 << 24
 
 FORMATS = ("csv", "bin")
 
@@ -307,24 +307,51 @@ class _StoredChain:
     """A bin chain of p >= 2 columns, read in passes of row blocks from one
     open file, so that a pass holds a block of rows, not the chain.
 
-    The first pass, at construction, checks that every value is finite,
+    The first pass, the open pass, checks that every value is finite,
     naming the first bad row by its index in the chain, and computes
-    ``mean`` with the bits of :attr:`Chain.mean` (:func:`_add_rows`).
-    Each pass checks that the file's size and modification time are those
-    it had when opened, so a file that changes between passes raises
-    :class:`ChainFormatError`, never a number of another file.
+    ``mean`` with the bits of :attr:`Chain.mean` (:func:`_add_rows`).  It
+    runs when ``mean`` is first asked for, or as the first pass that
+    gathers columns, in the same read.  Each pass checks that the file's
+    size and modification time are those it had when opened, so a file
+    that changes between passes raises :class:`ChainFormatError`, never a
+    number of another file.
     """
 
     def __init__(self, fh, path: Path, n: int, p: int, stat: os.stat_result) -> None:
         self._fh, self._path, self.n, self.p = fh, path, n, p
         self._stat = (stat.st_size, stat.st_mtime_ns)
+        self._mean = None
+        self._opened = False
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Row mean, computed by the open pass."""
+        if self._mean is None:
+            for _ in self._open_pass():
+                pass
+        return self._mean
+
+    def _open(self) -> None:
+        """Run the open pass unless one has begun, so that a view which
+        rejects its arguments before it reads still names a non-finite
+        value first, as a load of the chain would."""
+        if not self._opened:
+            self.mean
+
+    def _open_pass(self):
+        """The windows of one pass, each yielded once its values are
+        checked; its rows are then added into the mean, which overwrites
+        the window's first row.  The mean is set when the pass ends."""
+        self._opened = True
         total = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for first, _, block in self._windows():
-                _check_finite(block, at=lambda i: f"row {first + i}")
+        for first, e, block in self._windows():
+            _check_finite(block, at=lambda i: f"row {first + i}")
+            yield first, e, block
+            with np.errstate(over="ignore", invalid="ignore"):
                 total = _add_rows(total, block)
-            self.mean = total / n
-        self.mean.setflags(write=False)
+        mean = total / self.n
+        mean.setflags(write=False)
+        self._mean = mean
 
     def _check(self) -> None:
         stat = os.fstat(self._fh.fileno())
@@ -342,6 +369,8 @@ class _StoredChain:
         one window are carried over to the next, not read again.
         """
         n, p = self.n, self.p
+        # the open pass, if it has not run, reads the chain before this one
+        mean = self.mean if center else None
         step = min(n, rows * max(1, _PASS_BYTES // (8 * p * rows)))
         buf = np.empty((min(n, step + carry), p), dtype=_VALUE_DTYPE)
         self._check()
@@ -354,7 +383,7 @@ class _StoredChain:
             if fresh.size:
                 _read_rows(self._fh, fresh, self._path)
                 if center:
-                    np.subtract(fresh, self.mean, out=fresh)
+                    np.subtract(fresh, mean, out=fresh)
             yield s, e, buf[:end]
             kept = end - (e - s)
             buf[:kept] = buf[e - s:end]
@@ -369,17 +398,21 @@ class _StoredChain:
     def _columns(self):
         """Yield each column j with a contiguous (n, 1) array of its values.
 
-        A pass gathers as many columns as ``_COLUMN_PASS_BYTES`` holds, at
-        least one, into arrays reused by the next pass.
+        A pass gathers as many columns as fit in ``_PASS_BYTES``, at least
+        one, into arrays reused by the next pass; the first pass is the
+        open pass, if it has not run.
         """
         n, p = self.n, self.p
-        k = max(1, min(p, _COLUMN_PASS_BYTES // (8 * n)))
+        k = max(1, min(p, _PASS_BYTES // (8 * n)))
         columns = [np.empty((n, 1), dtype=_VALUE_DTYPE) for _ in range(k)]
         for first in range(0, p, k):
             gathered = list(zip(range(first, min(first + k, p)), columns))
-            for s, e, w in self._windows():
+            windows = self._windows() if self._mean is not None else self._open_pass()
+            for s, e, w in windows:
                 for j, x in gathered:
                     x[s:e, 0] = w[:, j]
+            # the pass's buffer, not held through the scans and the next pass
+            del w
             yield from gathered
 
 

@@ -106,7 +106,14 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
     else:
         with _open_bin(args.input) as chain:
             analysis = Analysis._adopt(chain) if isinstance(chain, Chain) else Analysis(chain)
-            payload = args.view(analysis, args)
+            try:
+                payload = args.view(analysis, args)
+            except ValueError:
+                # a view that rejects its arguments has read nothing, and a
+                # non-finite value is named first, as a load names it
+                if not isinstance(chain, Chain):
+                    chain._open()
+                raise
     _write_json(payload, args.output)
     return 0
 

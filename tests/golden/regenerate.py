@@ -1,8 +1,11 @@
-"""Golden outputs: two harness reports and three analyst command outputs.
+"""Golden outputs: two harness reports, three analyst command outputs, and
+the exit code, stdout and stderr of three commands on two failing chains.
 
 The files in this directory are the exact bytes that the code writes for
-the inputs below, at master seed 1.  ``tests/test_golden.py`` regenerates
-them and compares the bytes.  On a mismatch it prints a field diff: the
+the inputs below, at master seed 1; a command's outcome is written as a
+JSON object of its exit code, its stdout (parsed, or null) and its
+stderr.  ``tests/test_golden.py`` regenerates them and compares the
+bytes.  On a mismatch it prints a field diff: the
 discrete fields (``s_n``, ``t_n``, ``pd``, ``covered``, ``failed``,
 ``fail_count``, ``n_success``, and every integer, string or null value)
 exactly, and each float field by its largest relative change.
@@ -38,11 +41,13 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from chainvar import ExperimentConfig, _blas, emit_tables, run_replications
+from chainvar import (Chain, ExperimentConfig, _blas, emit_tables, run_replications, samplers,
+                      save_chain)
 from chainvar.cli import main as cli_main
 
 HERE = Path(__file__).resolve().parent
@@ -72,8 +77,18 @@ COMMANDS = (
     ("cli_ess", ["ess"]),
     ("cli_region_ellipsoid", ["region", "--kind", "ellipsoid"]),
 )
+# the chains on which commands fail or warn: an ar1 chain (Hadamard, p = 4,
+# n = 2000) with column c2 constant, and a 500x3 chain whose c1 variance and
+# c2 mean overflow (the same at every seed)
+FAILING_CHAINS = ("constant", "overflow")
+OUTCOMES = (
+    ("estimate_mis", ["estimate", "--method", "mis"]),
+    ("ess_uis", ["ess", "--method", "uis"]),
+    ("region_bonf_uis", ["region", "--kind", "bonf", "--method", "uis"]),
+)
 NAMES = tuple(f"{name}.{fmt}" for name, _, _ in HARNESS for fmt in ("csv", "json")) + tuple(
-    f"{name}.json" for name, _ in COMMANDS)
+    f"{name}.json" for name, _ in COMMANDS) + tuple(
+    f"cli_{chain}_{name}.json" for chain in FAILING_CHAINS for name, _ in OUTCOMES)
 
 # compared exactly, whatever their type
 DISCRETE = frozenset({"s_n", "t_n", "pd", "covered", "failed", "fail_count", "n_success"})
@@ -107,16 +122,45 @@ def generate(seed: int = 1) -> dict[str, bytes]:
         _run(["simulate", "--model", model, "--n", str(n), "--seed", str(seed), "--out", chain])
         for name, argv in COMMANDS:
             out[f"{name}.json"] = _run(argv + ["--input", chain]).encode()
+        for chain in FAILING_CHAINS:
+            path = str(Path(tmp, f"{chain}.bin"))
+            save_chain(_failing_chain(chain, seed), path)
+            for name, argv in OUTCOMES:
+                code, stdout, stderr = _outcome(argv + ["--input", path])
+                outcome = {"exit_code": code, "stdout": json.loads(stdout) if stdout else None,
+                           "stderr": stderr}
+                out[f"cli_{chain}_{name}.json"] = (json.dumps(outcome, indent=2) + "\n").encode()
     return out
 
 
-def _run(argv: list[str]) -> str:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+def _failing_chain(name: str, seed: int) -> Chain:
+    if name == "constant":
+        simulate, _ = samplers.build("ar1", {"kind": "hadamard", "p": 4})
+        values = simulate(2_000, seed)[0].values.copy()
+        values[:, 1] = 1.0
+    else:
+        values = np.random.default_rng(3).standard_normal((500, 3))
+        values[:, 0] *= 2.0**520
+        values[:, 1] = 1.5e308 + values[:, 1] * 1e306
+    return Chain(values)
+
+
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # the command prints each warning as a line of its stderr, whatever
+    # filters (say -W error) the interpreter was started with
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
         code = cli_main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _run(argv: list[str]) -> str:
+    code, stdout, stderr = _outcome(argv)
     if code != 0:
-        raise RuntimeError(f"chainvar {' '.join(argv)} exited {code}")
-    return stdout.getvalue()
+        raise RuntimeError(f"chainvar {' '.join(argv)} exited {code}: {stderr}")
+    return stdout
 
 
 def _parse(name: str, data: bytes):

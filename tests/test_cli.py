@@ -489,12 +489,11 @@ _ONE_COPY = [("estimate", "--method", "mis"), ("ess", "--method", "uis"),
              ("region", "--kind", "bonf", "--method", "uis")]
 
 
-def test_analyst_commands_hold_a_bin_chain_once(tmp_path, capsys, monkeypatch):
+def test_analyst_commands_hold_a_bin_chain_once(tmp_path, capsys):
     # numpy reports its buffers to tracemalloc, so the traced peak counts
     # every array.  A bin chain is read in passes of row blocks of about
-    # _PASS_BYTES, and its uis scans gather a budget of columns at a time;
-    # a budget of 2 columns here, against the 12 columns of the chain
-    monkeypatch.setattr(chain_module, "_COLUMN_PASS_BYTES", 2 * 8 * 200_000)
+    # _PASS_BYTES, and its uis scans gather as many columns as fit in one
+    # block, or one column where a column is larger
     block = chain_module._PASS_BYTES
     peaks = {}
     for n in (20_000, 200_000):
@@ -508,7 +507,8 @@ def test_analyst_commands_hold_a_bin_chain_once(tmp_path, capsys, monkeypatch):
         assert abs(peaks[200_000][argv] - peaks[20_000][argv]) <= 2 * block, argv
     assert peaks[200_000][_ONE_COPY[0]] <= 4 * block
     for argv in _ONE_COPY[1:]:
-        assert peaks[200_000][argv] <= chain_module._COLUMN_PASS_BYTES + 4 * block, argv
+        assert peaks[200_000][argv] <= 8 * 200_000 + 4 * block, argv
+        assert peaks[20_000][argv] <= 5 * block, argv
     capsys.readouterr()
 
 

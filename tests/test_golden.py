@@ -6,7 +6,9 @@ script that rewrites them are described in ``tests/golden/regenerate.py``.
 On another build (another OpenBLAS kernel core, numpy or OpenBLAS
 version, or numpy SIMD target) a float may move in its last digits, so
 there the discrete fields are compared exactly and each float within
-``TOLERANCE`` relative.  The field diff is printed either way.
+``TOLERANCE`` relative.  A command's exit code and stderr are discrete
+fields, so its error and warning text compare exactly on every build.
+The field diff is printed either way.
 """
 
 import importlib.util

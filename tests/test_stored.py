@@ -106,14 +106,19 @@ def test_the_ci_overflow_chain_names_its_mean(tmp_path, capsys, monkeypatch):
         "error: the mean of column c2 overflows; rescale the chain\n"}
 
 
+def _write_raw(path, values) -> None:
+    # the bin layout, without the finite check of save_chain
+    with open(path, "wb") as fh:
+        fh.write(np.array(values.shape, dtype="<u8").tobytes() + values.tobytes())
+
+
 def test_a_non_finite_cell_in_a_later_block_is_named_as_when_loaded(tmp_path, capsys,
                                                                     monkeypatch):
     values = _ma_chain(4 * _block(12), 12, seed=8)
     row = len(values) - 3
     values[row, 5] = np.inf
     path = tmp_path / "c.bin"
-    with open(path, "wb") as fh:
-        fh.write(np.array(values.shape, dtype="<u8").tobytes() + values.tobytes())
+    _write_raw(path, values)
     with pytest.raises(ValueError) as loaded:
         load_chain(path)
     stored = _outputs(path, capsys)
@@ -148,6 +153,37 @@ def test_a_constant_column_fails_before_any_pair_pass(tmp_path, monkeypatch):
         with pytest.raises(NoPositiveDefinitePartialSum, match="column c10 is constant"):
             mis(pairs)
     assert len(passes) == 3 and not pairs._pairs
+
+
+@pytest.mark.parametrize("n, p, per_pass, uis_passes, lag_passes", [(200_000, 4, 1, 4, 2),
+                                                                    (20_000, 65, 6, 11, 3)])
+def test_uis_views_gather_a_window_of_columns_a_pass(n, p, per_pass, uis_passes, lag_passes,
+                                                     tmp_path, monkeypatch, capsys):
+    # a column of 2e5 rows exceeds one window, so a pass gathers one; six
+    # columns of 2e4 rows fit in one, so 65 columns take 11 passes.  The
+    # first gather is the open pass, in the same read
+    assert max(1, chain_module._PASS_BYTES // (8 * n)) == per_pass
+    values = _ma_chain(n, p, seed=9)
+    path = tmp_path / "c.bin"
+    _write_raw(path, values)
+    passes = _counting_passes(monkeypatch)
+    bonf = ["region", "--kind", "bonf", "--method", "uis", "--input", str(path)]
+    assert cli.main(bonf) == 0
+    assert len(passes) == uis_passes
+    # the multivariate views run the open pass through the mean, then
+    # gamma0 with the first lags, then the further lags their scan needs
+    for method in ("mis", "mk"):
+        passes.clear()
+        assert cli.main(["estimate", "--method", method, "--input", str(path)]) == 0
+        assert len(passes) == lag_passes, method
+    capsys.readouterr()
+    # the first gather checks every value, so a non-finite last cell fails in it
+    values[-1, -1] = np.inf
+    _write_raw(path, values)
+    passes.clear()
+    assert cli.main(bonf) == 2
+    assert len(passes) == 1
+    assert capsys.readouterr().err == f"error: non-finite value inf at row {n - 1}, column c{p}\n"
 
 
 @pytest.mark.parametrize("p, first, each", [(4, 6, 12), (12, 4, 8), (65, 2, 4)])
